@@ -20,7 +20,7 @@ import time
 from common import WN9, bench_preset, format_table
 
 from repro.kg.datasets import build_named_dataset
-from repro.serve import Reasoner, ReasoningServer
+from repro.serve import Reasoner, ReasoningServer, ServeConfig
 
 CLIENTS = 8
 QUERIES_PER_CLIENT = 16  # 128 requests in flight per replay
@@ -40,9 +40,7 @@ def _replay(reasoner, queries, max_batch_size: int):
     """Drive `CLIENTS` concurrent clients through a daemon; wall clock + answers."""
     server = ReasoningServer(
         reasoner,
-        max_batch_size=max_batch_size,
-        max_wait_ms=25,
-        num_workers=1,
+        config=ServeConfig(max_batch_size=max_batch_size, max_wait_ms=25, workers=1),
     )
     shares = [queries[i::CLIENTS] for i in range(CLIENTS)]
     results = {}

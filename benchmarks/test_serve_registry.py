@@ -23,7 +23,7 @@ import time
 from common import WN9, bench_preset, format_table
 
 from repro.kg.datasets import build_named_dataset
-from repro.serve import ModelRegistry, Reasoner, ReasoningServer
+from repro.serve import ModelRegistry, Reasoner, ReasoningServer, ServeConfig
 
 CLIENTS = 8
 QUERIES_PER_CLIENT = 16  # 128 requests in flight per replay
@@ -96,9 +96,7 @@ def test_multi_model_routing_overhead_within_bound(benchmark, tmp_path):
     def build_server(refs):
         server = ReasoningServer(
             registry=registry,
-            max_batch_size=MAX_BATCH_SIZE,
-            max_wait_ms=MAX_WAIT_MS,
-            num_workers=1,
+            config=ServeConfig(max_batch_size=MAX_BATCH_SIZE, max_wait_ms=MAX_WAIT_MS, workers=1),
         ).start()
         keys = [server.add_model(ref) for ref in refs]
         # Warm the engine and action-space caches so the comparison isolates

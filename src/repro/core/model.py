@@ -21,7 +21,7 @@ from repro.features.extraction import FeatureStore
 from repro.fusion.gate_attention import FusionInputs
 from repro.fusion.variants import FusionVariant, build_fuser
 from repro.nn import Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.rl.environment import EpisodeState, Query
 from repro.rl.history import PathHistoryEncoder
 from repro.rl.policy import PolicyNetwork, stack_action_embeddings
@@ -91,22 +91,43 @@ class MMKGRAgent(Module):
         self.history_encoder.restore(snapshot)
 
     # ---------------------------------------------------------------- scoring
-    def _fusion_inputs(self, state: EpisodeState) -> FusionInputs:
-        query = state.query
-        return FusionInputs(
-            source_embedding=self.features.entity_embedding(query.source),
-            current_embedding=self.features.entity_embedding(state.current_entity),
-            query_relation_embedding=self.features.relation_embedding(query.relation),
-            history=self.history_encoder.hidden,
-            source_text=self.features.text_feature(query.source),
-            source_image=self.features.image_feature(query.source),
-            current_text=self.features.text_feature(state.current_entity),
-            current_image=self.features.image_feature(state.current_entity),
+    def fusion_inputs(
+        self,
+        sources: np.ndarray,
+        currents: np.ndarray,
+        relations: np.ndarray,
+        history,
+    ) -> FusionInputs:
+        """The fuser's inputs for a batch of branches, gathered by id.
+
+        ``sources``/``currents``/``relations`` are id arrays of length ``B``;
+        ``history`` is the ``(B, history_dim)`` LSTM hidden state, a Tensor
+        to trace the fuser or an ndarray to run it untraced.
+        """
+        features = self.features
+        inputs = FusionInputs(
+            source_embedding=features.entity_embeddings[sources],
+            current_embedding=features.entity_embeddings[currents],
+            query_relation_embedding=features.relation_embeddings[relations],
+            history=history,
         )
+        if getattr(self.fuser, "uses_modalities", True):
+            inputs.source_text = features.text_features[sources]
+            inputs.source_image = features.image_features[sources]
+            inputs.current_text = features.text_features[currents]
+            inputs.current_image = features.image_features[currents]
+        return inputs
 
     def complementary_features(self, state: EpisodeState) -> Tensor:
         """The multi-modal complementary features ``Z`` for the current state."""
-        return self.fuser(self._fusion_inputs(state))
+        query = state.query
+        inputs = self.fusion_inputs(
+            np.array([query.source]),
+            np.array([state.current_entity]),
+            np.array([query.relation]),
+            self.history_encoder.hidden.reshape(1, -1),
+        )
+        return self.fuser(inputs).reshape(-1)
 
     def action_log_probs(
         self, state: EpisodeState, actions: Sequence[Tuple[int, int]]
@@ -121,8 +142,6 @@ class MMKGRAgent(Module):
     def action_probabilities(
         self, state: EpisodeState, actions: Sequence[Tuple[int, int]]
     ) -> np.ndarray:
-        from repro.nn.tensor import no_grad
-
         with no_grad():
             log_probs = self.action_log_probs(state, actions)
         return np.exp(log_probs.data)

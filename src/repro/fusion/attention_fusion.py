@@ -28,12 +28,10 @@ check, and scales attention scores by ``1/sqrt(d)`` for numerical stability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 from repro.nn import Linear, Module
-from repro.nn.tensor import Tensor
+from repro.nn import functional as F
 from repro.utils.rng import SeedLike, new_rng
 
 
@@ -81,34 +79,39 @@ class AttentionFusionModule(Module):
         # Eq. (10): aggregation weights over the attended bilinear values.
         self.w_aggregate = Linear(d, 1, bias=False, rng=rng)
 
-    def forward(self, auxiliary: Tensor, structural: Tensor) -> Tuple[Tensor, Tensor]:
-        """Fuse auxiliary features ``X`` (m, d_x) with structural features ``Y`` (m, d_y).
+    def forward(self, auxiliary, structural, attend: bool = True):
+        """Fuse auxiliary features ``X`` (B, m, d_x) with structural features ``Y`` (B, m, d_y).
 
         Returns the attended features ``V̂`` and the bilinear values ``B_r``
-        (both of shape ``(m, j)``); the irrelevance-filtration module consumes
-        both.
+        (both of shape ``(B, m, j)``); the irrelevance-filtration module
+        consumes both.  With ``attend=False`` (the FGKGR ablation) fusion
+        stops at the joint representation ``B_l`` of Eq. (6), which is
+        returned in place of ``V̂``.  Tensor inputs are traced, plain arrays
+        run untraced and return arrays.
         """
-        if auxiliary.shape[0] != structural.shape[0]:
+        if auxiliary.shape[:2] != structural.shape[:2]:
             raise ValueError(
-                f"X and Y must have the same number of slots, got {auxiliary.shape[0]} "
-                f"and {structural.shape[0]}"
+                f"X and Y must have the same (batch, slot) shape, got {auxiliary.shape[:2]} "
+                f"and {structural.shape[:2]}"
             )
-        query = self.w_query(auxiliary)  # (m, d)
-        key = self.w_key(structural)  # (m, d)
-        value = self.w_value(structural)  # (m, d)
+        query = self.w_query(auxiliary)  # (B, m, d)
+        key = self.w_key(structural)  # (B, m, d)
+        value = self.w_value(structural)  # (B, m, d)
 
-        joint_left = self.w_l_key(key) * self.w_l_query(query)  # B_l, (m, j)
-        joint_right = self.w_r_value(value) * self.w_r_query(query)  # B_r, (m, j)
+        joint_left = self.w_l_key(key) * self.w_l_query(query)  # B_l, (B, m, j)
+        joint_right = self.w_r_value(value) * self.w_r_query(query)  # B_r, (B, m, j)
+        if not attend:
+            return joint_left, joint_right
 
-        gate = self.w_gate(joint_left).sigmoid()  # g_t, (m, d)
+        gate = F.sigmoid(self.w_gate(joint_left))  # g_t, (B, m, d)
         gated_key = gate * key
         gated_query = (1.0 - gate) * query
         scale = 1.0 / np.sqrt(self.config.attention_dim)
-        scores = gated_key.matmul(gated_query.T) * scale  # (m, m)
-        attention = scores.softmax(axis=-1)  # G_s
+        scores = (gated_key @ gated_query.transpose(0, 2, 1)) * scale  # (B, m, m)
+        attention = F.softmax(scores, axis=-1)  # G_s
 
-        mixing = self.w_aggregate(attention.matmul(key)).sigmoid()  # (m, 1)
-        attended = mixing * attention.matmul(joint_right)  # V̂, (m, j)
+        mixing = F.sigmoid(self.w_aggregate(attention @ key))  # (B, m, 1)
+        attended = mixing * (attention @ joint_right)  # V̂, (B, m, j)
         return attended, joint_right
 
     @property

@@ -22,8 +22,8 @@ features, mirroring how the paper conditions fusion on the triple query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Optional, Union
 
 import numpy as np
 
@@ -36,41 +36,44 @@ from repro.utils.rng import SeedLike, new_rng
 
 @dataclass
 class FusionInputs:
-    """Raw per-step features handed to a fuser.
+    """Raw per-step features of a batch of ``B`` branches handed to a fuser.
 
-    Entity/relation/modality features are 1-D NumPy vectors (they come from
-    static lookup tables); ``history`` is the LSTM encoding of the path walked
-    so far and stays an autograd :class:`Tensor` so the history encoder is
-    trained end-to-end with the policy.
+    Every field is ``(B, dim)``.  Entity/relation/modality features come from
+    static lookup tables and are plain arrays; the modality fields may be
+    ``None`` for fusers that never read them.  ``history`` is the LSTM
+    encoding of each branch's path so far and decides the forward's mode: a
+    :class:`Tensor` history (the live training graph) makes the fuser trace
+    every op, wrapping the static features as Tensors so gradients reach the
+    text/image projections too; an ndarray history runs the fuser as
+    untraced NumPy and yields an ndarray.
     """
 
     source_embedding: np.ndarray
     current_embedding: np.ndarray
     query_relation_embedding: np.ndarray
-    history: Tensor
-    source_text: np.ndarray
-    source_image: np.ndarray
-    current_text: np.ndarray
-    current_image: np.ndarray
+    history: Union[np.ndarray, Tensor]
+    source_text: Optional[np.ndarray] = None
+    source_image: Optional[np.ndarray] = None
+    current_text: Optional[np.ndarray] = None
+    current_image: Optional[np.ndarray] = None
 
-    def __post_init__(self) -> None:
+    def in_history_mode(self) -> "FusionInputs":
+        """These inputs with the static features in the history's mode."""
         if not isinstance(self.history, Tensor):
-            self.history = Tensor(np.asarray(self.history, dtype=np.float64))
-
-    def history_row(self) -> Tensor:
-        """The history encoding as a ``(1, hidden_dim)`` tensor."""
-        return self.history.reshape(1, -1)
-
-    def structural_dim(self) -> int:
-        return (
-            self.source_embedding.shape[0]
-            + self.history.shape[-1]
-            + self.query_relation_embedding.shape[0]
+            return self
+        values = [getattr(self, field.name) for field in fields(self)]
+        return FusionInputs(
+            *(v if v is None or isinstance(v, Tensor) else Tensor(v) for v in values)
         )
 
 
 class UnifiedGateAttentionNetwork(Module):
-    """Generates multi-modal complementary features ``Z`` for the RL policy."""
+    """Generates multi-modal complementary features ``Z`` for the RL policy.
+
+    ``use_attention=False`` is the FGKGR ablation (fusion stops at the
+    bilinear joint representation of Eq. 6) and ``use_filtration=False`` is
+    FAKGR (attended features go straight to the policy).
+    """
 
     def __init__(
         self,
@@ -82,6 +85,8 @@ class UnifiedGateAttentionNetwork(Module):
         attention_dim: int = 32,
         joint_dim: int = 32,
         rng: SeedLike = None,
+        use_attention: bool = True,
+        use_filtration: bool = True,
     ):
         super().__init__()
         if auxiliary_dim % 2 != 0:
@@ -92,6 +97,8 @@ class UnifiedGateAttentionNetwork(Module):
         self.text_dim = text_dim
         self.image_dim = image_dim
         self.auxiliary_dim = auxiliary_dim
+        self.use_attention = use_attention
+        self.use_filtration = use_filtration
         slot_structural_dim = 2 * structural_dim + history_dim
 
         # Eq. (3): learned projections of the raw text/image features.
@@ -111,57 +118,45 @@ class UnifiedGateAttentionNetwork(Module):
         self.irrelevance_filtration = IrrelevanceFiltrationModule()
         self._output_dim = joint_dim
 
-    # ------------------------------------------------------------- structure
     @property
     def output_dim(self) -> int:
         return self._output_dim
 
-    def _auxiliary_row(self, text: np.ndarray, image: np.ndarray) -> Tensor:
-        """Auxiliary slot ``x = [f_t W_t ; f_i W_i]`` (Eq. 3)."""
-        text_part = self.text_projection(Tensor(text.reshape(1, -1)))
-        image_part = self.image_projection(Tensor(image.reshape(1, -1)))
-        return concat([text_part, image_part], axis=-1)
-
-    def _structural_row(
-        self, entity: np.ndarray, history: Tensor, relation: np.ndarray
-    ) -> Tensor:
-        """Structural slot ``y = [e ; h_t ; r_q]`` (Eq. 1)."""
-        return concat(
+    def forward(self, inputs: FusionInputs):
+        """The complementary features ``Z``, shape ``(B, joint_dim)``."""
+        inputs = inputs.in_history_mode()
+        source = inputs.source_embedding
+        current = inputs.current_embedding
+        relation = inputs.query_relation_embedding
+        history = inputs.history
+        # Structural slots y_i = [e ; h_t ; r_q] (Eq. 1), three per branch.
+        structural = stack(
             [
-                Tensor(np.asarray(entity, dtype=np.float64).reshape(1, -1)),
-                history.reshape(1, -1),
-                Tensor(np.asarray(relation, dtype=np.float64).reshape(1, -1)),
+                concat([source, history, relation], axis=1),
+                concat([current, history, relation], axis=1),
+                concat([relation, history, source], axis=1),
             ],
-            axis=-1,
+            axis=1,
+        )  # (B, 3, slot_structural_dim)
+        # Auxiliary slots x_i = [f_t W_t ; f_i W_i] (Eq. 3); the query-context
+        # slot reuses the source entity's features.
+        aux_source = concat(
+            [self.text_projection(inputs.source_text), self.image_projection(inputs.source_image)],
+            axis=1,
         )
-
-    # ----------------------------------------------------------------- forward
-    def forward(self, inputs: FusionInputs) -> Tensor:
-        """Return the complementary features ``Z`` as a 1-D tensor of ``joint_dim``."""
-        structural_rows = concat(
+        aux_current = concat(
             [
-                self._structural_row(
-                    inputs.source_embedding, inputs.history, inputs.query_relation_embedding
-                ),
-                self._structural_row(
-                    inputs.current_embedding, inputs.history, inputs.query_relation_embedding
-                ),
-                self._structural_row(
-                    inputs.query_relation_embedding, inputs.history, inputs.source_embedding
-                ),
+                self.text_projection(inputs.current_text),
+                self.image_projection(inputs.current_image),
             ],
-            axis=0,
-        )  # (3, slot_structural_dim)
-        auxiliary_rows = concat(
-            [
-                self._auxiliary_row(inputs.source_text, inputs.source_image),
-                self._auxiliary_row(inputs.current_text, inputs.current_image),
-                self._auxiliary_row(inputs.source_text, inputs.source_image),
-            ],
-            axis=0,
-        )  # (3, auxiliary_dim)
+            axis=1,
+        )
+        auxiliary = stack([aux_source, aux_current, aux_source], axis=1)  # (B, 3, auxiliary_dim)
 
-        attended, joint_right = self.attention_fusion(auxiliary_rows, structural_rows)
-        complementary = self.irrelevance_filtration(attended, joint_right)
+        attended, joint_right = self.attention_fusion(
+            auxiliary, structural, attend=self.use_attention
+        )
+        if self.use_filtration:
+            attended = self.irrelevance_filtration(attended, joint_right)
         # Pool the slots into the single feature vector the policy consumes.
-        return complementary.sum(axis=0)
+        return attended.sum(axis=1)

@@ -16,19 +16,19 @@ near-zero positions are squashed towards zero.
 from __future__ import annotations
 
 from repro.nn import Module
-from repro.nn.tensor import Tensor
+from repro.nn import functional as F
 
 
 class IrrelevanceFiltrationModule(Module):
     """Multiplicative relevance gate over the attended features."""
 
-    def forward(self, attended: Tensor, joint_right: Tensor) -> Tensor:
+    def forward(self, attended, joint_right):
         """Apply the filtration gate.
 
         ``attended`` is ``V̂`` and ``joint_right`` is ``B_r``; both have shape
-        ``(m, j)``.  The returned complementary features ``Z`` have the same
-        shape — pooling over the ``m`` slots happens in the enclosing network
-        so ablation variants can share the pooling code.
+        ``(B, m, j)``.  The returned complementary features ``Z`` have the
+        same shape — pooling over the ``m`` slots happens in the enclosing
+        network so ablation variants can share the pooling code.
         """
         if attended.shape != joint_right.shape:
             raise ValueError(
@@ -36,5 +36,5 @@ class IrrelevanceFiltrationModule(Module):
                 "must have identical shapes"
             )
         interaction = joint_right * attended
-        gate = interaction.sigmoid()  # G_f in [0, 1]
+        gate = F.sigmoid(interaction)  # G_f in [0, 1]
         return gate * interaction

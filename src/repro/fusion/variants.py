@@ -11,23 +11,23 @@
   strategies (vector concatenation and conventional single-direction
   attention) that Table VII bolts onto existing multi-hop models.
 
-All fusers expose the same interface — ``forward(FusionInputs) -> Tensor`` of
-``output_dim`` — so the policy network and trainer never need to know which
-variant is in use.
+All fusers expose the same interface — ``forward(FusionInputs)`` over a batch
+of ``B`` branches, returning ``(B, output_dim)`` — so the policy network,
+the serving engine and the trainer never need to know which variant is in
+use.  Each forward is written once: an ndarray history runs it as untraced
+NumPy (serving), a Tensor history records it for autograd (training).
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
-from repro.fusion.attention_fusion import AttentionFusionConfig, AttentionFusionModule
 from repro.fusion.gate_attention import FusionInputs, UnifiedGateAttentionNetwork
-from repro.fusion.irrelevance_filtration import IrrelevanceFiltrationModule
 from repro.nn import Linear, Module
-from repro.nn.tensor import Tensor, concat
+from repro.nn import functional as F
+from repro.nn.tensor import concat, stack
 from repro.utils.rng import SeedLike, new_rng
 
 
@@ -40,59 +40,6 @@ class FusionVariant(str, Enum):
     STRUCTURE_ONLY = "structure_only"  # OSKGR
     CONCATENATION = "concatenation"  # Table VII naive fusion
     CONVENTIONAL_ATTENTION = "conventional_attention"  # Table VII naive fusion
-
-
-class _VariantGateAttentionNetwork(UnifiedGateAttentionNetwork):
-    """Unified network with switchable attention-fusion / filtration stages."""
-
-    def __init__(self, *args, use_attention: bool = True, use_filtration: bool = True, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.use_attention = use_attention
-        self.use_filtration = use_filtration
-
-    def forward(self, inputs: FusionInputs) -> Tensor:
-        structural_rows = concat(
-            [
-                self._structural_row(
-                    inputs.source_embedding, inputs.history, inputs.query_relation_embedding
-                ),
-                self._structural_row(
-                    inputs.current_embedding, inputs.history, inputs.query_relation_embedding
-                ),
-                self._structural_row(
-                    inputs.query_relation_embedding, inputs.history, inputs.source_embedding
-                ),
-            ],
-            axis=0,
-        )
-        auxiliary_rows = concat(
-            [
-                self._auxiliary_row(inputs.source_text, inputs.source_image),
-                self._auxiliary_row(inputs.current_text, inputs.current_image),
-                self._auxiliary_row(inputs.source_text, inputs.source_image),
-            ],
-            axis=0,
-        )
-
-        fusion = self.attention_fusion
-        query = fusion.w_query(auxiliary_rows)
-        key = fusion.w_key(structural_rows)
-        value = fusion.w_value(structural_rows)
-        joint_left = fusion.w_l_key(key) * fusion.w_l_query(query)
-        joint_right = fusion.w_r_value(value) * fusion.w_r_query(query)
-
-        if self.use_attention:
-            attended, joint_right = fusion(auxiliary_rows, structural_rows)
-        else:
-            # FGKGR: stop after the bilinear joint representation of Eq. (6).
-            attended = joint_left
-
-        if self.use_filtration:
-            features = self.irrelevance_filtration(attended, joint_right)
-        else:
-            # FAKGR: attended features go straight to the policy.
-            features = attended
-        return features.sum(axis=0)
 
 
 class ConcatenationFuser(Module):
@@ -122,18 +69,20 @@ class ConcatenationFuser(Module):
     def output_dim(self) -> int:
         return self._output_dim
 
-    def forward(self, inputs: FusionInputs) -> Tensor:
-        static = np.concatenate(
+    def forward(self, inputs: FusionInputs):
+        inputs = inputs.in_history_mode()
+        flat = concat(
             [
                 inputs.source_embedding,
                 inputs.current_embedding,
                 inputs.query_relation_embedding,
                 0.5 * (inputs.source_text + inputs.current_text),
                 0.5 * (inputs.source_image + inputs.current_image),
-            ]
+                inputs.history,
+            ],
+            axis=1,
         )
-        flat = concat([Tensor(static.reshape(1, -1)), inputs.history_row()], axis=-1)
-        return self.projection(flat).relu().reshape(-1)
+        return F.relu(self.projection(flat))
 
 
 class AttentionOnlyFuser(Module):
@@ -167,37 +116,34 @@ class AttentionOnlyFuser(Module):
     def output_dim(self) -> int:
         return self._output_dim
 
-    def forward(self, inputs: FusionInputs) -> Tensor:
+    def forward(self, inputs: FusionInputs):
+        inputs = inputs.in_history_mode()
+        batch = inputs.history.shape[0]
         context = concat(
-            [
-                Tensor(
-                    np.concatenate(
-                        [inputs.source_embedding, inputs.current_embedding]
-                    ).reshape(1, -1)
-                ),
-                inputs.history_row(),
-            ],
-            axis=-1,
+            [inputs.source_embedding, inputs.current_embedding, inputs.history], axis=1
         )
-        context_vec = self.context_projection(context)  # (1, d)
-        candidates = concat(
+        context_vec = self.context_projection(context)  # (B, d)
+        candidates = stack(
             [
-                self.text_projection(Tensor(inputs.source_text.reshape(1, -1))),
-                self.image_projection(Tensor(inputs.source_image.reshape(1, -1))),
-                self.text_projection(Tensor(inputs.current_text.reshape(1, -1))),
-                self.image_projection(Tensor(inputs.current_image.reshape(1, -1))),
+                self.text_projection(inputs.source_text),
+                self.image_projection(inputs.source_image),
+                self.text_projection(inputs.current_text),
+                self.image_projection(inputs.current_image),
             ],
-            axis=0,
-        )  # (4, d)
-        scores = candidates.matmul(context_vec.reshape(-1)) * (1.0 / np.sqrt(self._output_dim))
-        weights = scores.softmax(axis=-1).reshape(-1, 1)
-        attended = (candidates * weights).sum(axis=0).reshape(1, -1)
-        fused = concat([context_vec, attended], axis=-1)
-        return self.output_projection(fused).relu().reshape(-1)
+            axis=1,
+        )  # (B, 4, d)
+        scores = (candidates @ context_vec.reshape(batch, -1, 1)).reshape(batch, -1)
+        weights = F.softmax(scores * (1.0 / np.sqrt(self._output_dim)), axis=-1)
+        attended = (candidates * weights.reshape(batch, -1, 1)).sum(axis=1)  # (B, d)
+        fused = concat([context_vec, attended], axis=1)
+        return F.relu(self.output_projection(fused))
 
 
 class StructureOnlyFuser(Module):
     """OSKGR: ignore the auxiliary modalities entirely (Eq. 17 with structure only)."""
+
+    # Callers may leave the modality fields of FusionInputs empty.
+    uses_modalities = False
 
     def __init__(
         self,
@@ -216,16 +162,18 @@ class StructureOnlyFuser(Module):
     def output_dim(self) -> int:
         return self._output_dim
 
-    def forward(self, inputs: FusionInputs) -> Tensor:
-        static = np.concatenate(
+    def forward(self, inputs: FusionInputs):
+        inputs = inputs.in_history_mode()
+        flat = concat(
             [
                 inputs.source_embedding,
                 inputs.current_embedding,
                 inputs.query_relation_embedding,
-            ]
+                inputs.history,
+            ],
+            axis=1,
         )
-        flat = concat([Tensor(static.reshape(1, -1)), inputs.history_row()], axis=-1)
-        return self.projection(flat).relu().reshape(-1)
+        return F.relu(self.projection(flat))
 
 
 def build_fuser(
@@ -251,12 +199,7 @@ def build_fuser(
         return AttentionOnlyFuser(
             structural_dim, history_dim, text_dim, image_dim, output_dim=joint_dim, rng=rng
         )
-    use_attention = variant is not FusionVariant.NO_ATTENTION
-    use_filtration = variant is not FusionVariant.NO_FILTRATION
-    if variant is FusionVariant.FULL:
-        use_attention = True
-        use_filtration = True
-    return _VariantGateAttentionNetwork(
+    return UnifiedGateAttentionNetwork(
         structural_dim=structural_dim,
         history_dim=history_dim,
         text_dim=text_dim,
@@ -265,6 +208,6 @@ def build_fuser(
         attention_dim=attention_dim,
         joint_dim=joint_dim,
         rng=rng,
-        use_attention=use_attention,
-        use_filtration=use_filtration,
+        use_attention=variant is not FusionVariant.NO_ATTENTION,
+        use_filtration=variant is not FusionVariant.NO_FILTRATION,
     )

@@ -3,6 +3,12 @@
 These mirror ``torch.nn.functional`` for the small set of operations the
 MMKGR model requires: activations, losses, attention-style products, and the
 Hadamard-product bilinear pooling used by the attention-fusion module.
+
+The activations accept either a :class:`Tensor` or a plain ``np.ndarray``:
+a Tensor records the op for autograd, an ndarray runs the same formula as
+untraced NumPy and returns an ndarray.  Modules built from them (``Linear``,
+``LSTMCell``, the fusers, the policy) therefore have one forward that serves
+both training and no-grad inference.
 """
 
 from __future__ import annotations
@@ -11,27 +17,41 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, concat, stack
+from repro.nn.tensor import (
+    Tensor,
+    concat,
+    log_softmax_array,
+    sigmoid_array,
+    softmax_array,
+    stack,
+)
 
 
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
+def traced(*values) -> bool:
+    """Whether any of ``values`` is a Tensor (so the computation is recorded)."""
+    return any(isinstance(value, Tensor) for value in values)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
+def relu(x):
+    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0)
 
 
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
+def sigmoid(x):
+    return x.sigmoid() if isinstance(x, Tensor) else sigmoid_array(x)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x.softmax(axis=axis)
+def tanh(x):
+    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x.log_softmax(axis=axis)
+def softmax(x, axis: int = -1):
+    return x.softmax(axis=axis) if isinstance(x, Tensor) else softmax_array(x, axis=axis)
+
+
+def log_softmax(x, axis: int = -1):
+    if isinstance(x, Tensor):
+        return x.log_softmax(axis=axis)
+    return log_softmax_array(x, axis=axis)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:

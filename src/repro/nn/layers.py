@@ -25,6 +25,11 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True, name=name)
 
 
+def _value(param: Parameter, traced: bool):
+    """``param`` itself for a traced forward, its raw array for an untraced one."""
+    return param if traced else param.data
+
+
 class Module:
     """Base class providing parameter registration and train/eval switching."""
 
@@ -144,7 +149,19 @@ class ModuleList(Module):
 
 
 class Linear(Module):
-    """Affine transformation ``x @ W + b``."""
+    """Affine transformation ``x @ W + b`` over the last axis of ``x``.
+
+    A Tensor input records the op; a plain array runs untraced NumPy on the
+    parameters' raw values and returns an array:
+
+    >>> layer = Linear(3, 2, rng=0)
+    >>> out = layer(np.ones((4, 3)))
+    >>> type(out).__name__, out.shape
+    ('ndarray', (4, 2))
+    >>> traced = layer(Tensor(np.ones((4, 3))))
+    >>> type(traced).__name__, bool(np.array_equal(traced.data, out))
+    ('Tensor', True)
+    """
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True, rng: SeedLike = None):
         super().__init__()
@@ -156,10 +173,11 @@ class Linear(Module):
         self.weight = Parameter(xavier_uniform((in_features, out_features), rng), name="weight")
         self.bias = Parameter(np.zeros(out_features), name="bias") if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight)
+    def forward(self, x):
+        traced = isinstance(x, Tensor)
+        out = x @ _value(self.weight, traced)
         if self.bias is not None:
-            out = out + self.bias
+            out = out + _value(self.bias, traced)
         return out
 
 
@@ -297,16 +315,27 @@ class LSTMCell(Module):
         shape = (batch_size, self.hidden_size)
         return Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
 
-    def forward(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
+    def forward(self, x, state):
+        """One step over a ``(B, input_size)`` batch; returns ``(h_next, c_next)``.
+
+        Traced when any of ``x``, ``h`` or ``c`` is a Tensor (so gradients
+        reach the cell's weights through a live history); all-ndarray
+        inputs run untraced and return arrays.
+        """
         h_prev, c_prev = state
-        gates = x.matmul(self.weight_ih) + h_prev.matmul(self.weight_hh) + self.bias
+        traced = F.traced(x, h_prev, c_prev)
+        gates = (
+            x @ _value(self.weight_ih, traced)
+            + h_prev @ _value(self.weight_hh, traced)
+            + _value(self.bias, traced)
+        )
         hidden = self.hidden_size
-        i_gate = gates[:, 0:hidden].sigmoid()
-        f_gate = gates[:, hidden : 2 * hidden].sigmoid()
-        g_gate = gates[:, 2 * hidden : 3 * hidden].tanh()
-        o_gate = gates[:, 3 * hidden : 4 * hidden].sigmoid()
+        i_gate = F.sigmoid(gates[:, 0:hidden])
+        f_gate = F.sigmoid(gates[:, hidden : 2 * hidden])
+        g_gate = F.tanh(gates[:, 2 * hidden : 3 * hidden])
+        o_gate = F.sigmoid(gates[:, 3 * hidden : 4 * hidden])
         c_next = f_gate * c_prev + i_gate * g_gate
-        h_next = o_gate * c_next.tanh()
+        h_next = o_gate * F.tanh(c_next)
         return h_next, c_next
 
 

@@ -53,6 +53,28 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid, clipped and branch-stable (the forward of ``Tensor.sigmoid``)."""
+    clipped = np.clip(x, -500, 500)
+    return np.where(
+        x >= 0,
+        1.0 / (1.0 + np.exp(-clipped)),
+        np.exp(clipped) / (1.0 + np.exp(clipped)),
+    )
+
+
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Shift-stabilised softmax (the forward of ``Tensor.softmax``)."""
+    exp = np.exp(x - x.max(axis=axis, keepdims=True))
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def log_softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Shift-stabilised log-softmax (the forward of ``Tensor.log_softmax``)."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def _as_array(data: ArrayLike) -> np.ndarray:
     if isinstance(data, np.ndarray):
         if data.dtype != np.float64:
@@ -65,6 +87,9 @@ class Tensor:
     """A NumPy array with reverse-mode autograd support."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    # NumPy operators defer to Tensor's reflected operators, so an ndarray
+    # on the left of ``+``, ``*`` or ``@`` still records the op.
+    __array_ufunc__ = None
 
     def __init__(
         self,
@@ -242,6 +267,9 @@ class Tensor:
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self.matmul(other)
 
+    def __rmatmul__(self, other: ArrayLike) -> "Tensor":
+        return Tensor(other).matmul(self)
+
     # ------------------------------------------------------------- reductions
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
@@ -377,11 +405,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = np.where(
-            self.data >= 0,
-            1.0 / (1.0 + np.exp(-np.clip(self.data, -500, 500))),
-            np.exp(np.clip(self.data, -500, 500)) / (1.0 + np.exp(np.clip(self.data, -500, 500))),
-        )
+        out_data = sigmoid_array(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data * (1.0 - out_data))
@@ -398,9 +422,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        out_data = exp / exp.sum(axis=axis, keepdims=True)
+        out_data = softmax_array(self.data, axis=axis)
 
         def backward(grad: np.ndarray) -> None:
             dot = np.sum(grad * out_data, axis=axis, keepdims=True)
@@ -409,9 +431,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out_data = shifted - log_sum
+        out_data = log_softmax_array(self.data, axis=axis)
         softmax = np.exp(out_data)
 
         def backward(grad: np.ndarray) -> None:
@@ -431,11 +451,25 @@ class Tensor:
 
 
 # --------------------------------------------------------------------- helpers
+def _operands(values: Sequence) -> Tuple[bool, List]:
+    """Whether any value is a Tensor, and the values (all Tensors if so)."""
+    values = list(values)
+    if not values:
+        raise ValueError("cannot join an empty sequence of tensors")
+    if not any(isinstance(value, Tensor) for value in values):
+        return False, values
+    return True, [value if isinstance(value, Tensor) else Tensor(value) for value in values]
+
+
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis, propagating gradients to each input."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("cannot stack an empty sequence of tensors")
+    """Stack along a new axis, propagating gradients to each input.
+
+    Plain arrays pass through untraced: with no Tensor among the inputs the
+    result is an ``np.ndarray``.
+    """
+    traced, tensors = _operands(tensors)
+    if not traced:
+        return np.stack(tensors, axis=axis)
     out_data = np.stack([t.data for t in tensors], axis=axis)
 
     def backward(grad: np.ndarray) -> None:
@@ -447,10 +481,10 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate tensors along an existing axis."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("cannot concatenate an empty sequence of tensors")
+    """Concatenate along an existing axis (untraced when no input is a Tensor)."""
+    traced, tensors = _operands(tensors)
+    if not traced:
+        return np.concatenate(tensors, axis=axis)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     boundaries = np.cumsum(sizes)[:-1]

@@ -6,13 +6,17 @@ the same per-op dispatch overhead the serving engine eliminated for beam
 search.  :class:`BatchedRolloutEngine` advances *all* queries of a training
 mini-batch depth-by-depth instead:
 
-* one differentiable batched fusion forward per step
-  (:class:`repro.nn.batched.DifferentiableBatchedFusion`) with gradients
-  flowing into the fuser weights and through the history tensor;
-* one masked batched policy evaluation per step over padded per-query action
-  spaces (:meth:`repro.rl.policy.PolicyNetwork.log_probs_batch`);
-* one batched ``LSTMCell`` evaluation per step folding every query's chosen
-  edge into its path history.
+* one call of the agent's fuser per step with the live ``(B, hidden)``
+  history Tensor, so the fuser traces its forward and gradients flow into
+  the fuser weights and through the history into the LSTM;
+* one masked policy evaluation per step over padded per-query action spaces
+  (:class:`repro.rl.policy.PolicyNetwork` with
+  :func:`repro.rl.policy.pad_action_matrices`);
+* one batched ``LSTMCell`` call per step folding every query's chosen edge
+  into its path history.
+
+These are the same modules, with the same single forward, that the serving
+engine runs on ndarrays and that the per-query path runs as a batch of one.
 
 Per-query termination is honoured: finished episodes drop out of the batch
 while the rest keep walking, so environments that stop early stay supported.
@@ -29,9 +33,8 @@ engine produce identical episodes from the same parent seed, which is exactly
 what ``tests/rl/test_batched_rollout.py`` asserts.
 
 Agents that override ``action_log_probs`` (e.g. the hierarchical RLH agent)
-or use a fuser without a batched implementation are reported as unsupported
-via :meth:`BatchedRolloutEngine.supports`; the trainer falls back to the
-scalar loop for them.
+are reported as unsupported via :meth:`BatchedRolloutEngine.supports`; the
+trainer falls back to the scalar loop for them.
 """
 
 from __future__ import annotations
@@ -40,11 +43,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.batched import DifferentiableBatchedFusion, pad_action_matrices
 from repro.nn.tensor import Tensor
 from repro.rl.environment import MKGEnvironment, Query
 from repro.rl.history import PathHistoryEncoder
-from repro.rl.policy import PolicyNetwork
+from repro.rl.policy import pad_action_matrices, stack_action_embeddings
 from repro.rl.rollout import SampledEpisode
 from repro.utils.rng import SeedLike, spawn_rngs
 
@@ -56,21 +58,18 @@ class BatchedRolloutEngine:
         if not self.supports(agent):
             raise ValueError(
                 "agent does not support batched rollouts; use sample_episode "
-                "per query instead (custom action_log_probs or fuser)"
+                "per query instead (custom action_log_probs)"
             )
         self.agent = agent
         self.environment = environment
-        self._fusion = DifferentiableBatchedFusion(agent)
 
     @staticmethod
     def supports(agent) -> bool:
         """Whether ``agent`` runs the stock scoring pipeline batchable here.
 
         Mirrors the serving engine's fast-path check: the agent must score
-        actions with the unmodified ``MMKGRAgent.action_log_probs`` through a
-        stock :class:`PolicyNetwork`, keep its history in a
-        :class:`PathHistoryEncoder`, and use a fuser with a vectorized
-        implementation.
+        actions with the unmodified ``MMKGRAgent.action_log_probs`` and keep
+        its history in a :class:`PathHistoryEncoder`.  Every fuser batches.
         """
         # Imported here: repro.core.model pulls in repro.core.config, which
         # imports back into repro.rl during package initialisation.
@@ -79,9 +78,7 @@ class BatchedRolloutEngine:
         return (
             isinstance(agent, MMKGRAgent)
             and type(agent).action_log_probs is MMKGRAgent.action_log_probs
-            and isinstance(agent.policy, PolicyNetwork)
             and isinstance(agent.history_encoder, PathHistoryEncoder)
-            and DifferentiableBatchedFusion(agent).supported
         )
 
     # ---------------------------------------------------------------- helpers
@@ -92,59 +89,32 @@ class BatchedRolloutEngine:
         features = self.agent.features
         cell_module = self.agent.history_encoder.cell
         batch = sources.shape[0]
-        seed_inputs = Tensor(
-            np.concatenate(
-                [
-                    np.zeros((batch, features.structural_dim)),
-                    features.entity_embeddings[sources],
-                ],
-                axis=1,
-            )
+        seed_inputs = np.concatenate(
+            [np.zeros((batch, features.structural_dim)), features.entity_embeddings[sources]],
+            axis=1,
         )
         return cell_module(seed_inputs, cell_module.init_state(batch))
 
     def _step_log_probs(self, states, sources, relations, rows, action_lists, hidden):
         """Masked log π over each active row's action space, shape (rows, n_max)."""
-        features = self.agent.features
+        agent = self.agent
         active = np.asarray(rows, dtype=np.intp)
         padded, mask = pad_action_matrices(
-            action_lists, features.relation_embeddings, features.entity_embeddings
+            action_lists, agent.features.relation_embeddings, agent.features.entity_embeddings
         )
         currents = np.fromiter(
             (states[i].current_entity for i in rows), dtype=np.intp, count=len(rows)
         )
-        if self._fusion.needs_modalities:
-            source_text = features.text_features[sources[active]]
-            source_image = features.image_features[sources[active]]
-            current_text = features.text_features[currents]
-            current_image = features.image_features[currents]
-        else:
-            source_text = source_image = current_text = current_image = None
-        fused = self._fusion.fuse(
-            features.entity_embeddings[sources[active]],
-            features.entity_embeddings[currents],
-            features.relation_embeddings[relations[active]],
-            hidden,
-            source_text,
-            source_image,
-            current_text,
-            current_image,
+        fused = agent.fuser(
+            agent.fusion_inputs(sources[active], currents, relations[active], hidden)
         )
-        return self.agent.policy.log_probs_batch(fused, padded, mask)
+        return agent.policy(fused, padded, mask)
 
     def _advance_history(self, chosen, hidden, cell):
         """Batched observe_step(): fold every row's chosen edge into its history."""
         features = self.agent.features
-        rel_ids = np.fromiter((a[0] for a in chosen), dtype=np.intp, count=len(chosen))
-        ent_ids = np.fromiter((a[1] for a in chosen), dtype=np.intp, count=len(chosen))
-        step_inputs = Tensor(
-            np.concatenate(
-                [
-                    features.relation_embeddings[rel_ids],
-                    features.entity_embeddings[ent_ids],
-                ],
-                axis=1,
-            )
+        step_inputs = stack_action_embeddings(
+            chosen, features.relation_embeddings, features.entity_embeddings
         )
         return self.agent.history_encoder.cell(step_inputs, (hidden, cell))
 

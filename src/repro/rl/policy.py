@@ -9,17 +9,26 @@ The action with the highest probability is the next reasoning step.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from itertools import chain
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn import Linear, Module
+from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.utils.rng import SeedLike, new_rng
 
 
 class PolicyNetwork(Module):
-    """Feed-forward policy head scoring candidate actions against ``Z``."""
+    """Feed-forward policy head scoring candidate actions against ``Z``.
+
+    Every method takes either one state — ``Z`` of shape ``(fusion_dim,)``
+    with an ``(n, action_dim)`` action matrix — or a batch — ``Z`` of shape
+    ``(B, fusion_dim)`` with a padded ``(B, n, action_dim)`` action batch from
+    :func:`pad_action_matrices`.  A Tensor ``Z`` is traced; an ndarray ``Z``
+    runs untraced and yields arrays.
+    """
 
     def __init__(
         self,
@@ -39,70 +48,47 @@ class PolicyNetwork(Module):
         self.hidden_layer = Linear(fusion_dim, hidden_dim, rng=rng)
         self.output_layer = Linear(hidden_dim, action_dim, rng=rng)
 
-    def action_scores(self, fused_features: Tensor, action_embeddings: np.ndarray) -> Tensor:
-        """Unnormalised scores of each action (one row per action)."""
+    def project(self, fused_features):
+        """``W_2 ReLU(W_1 Z + b_1) + b_2``, shape ``(..., action_dim)``."""
+        return self.output_layer(F.relu(self.hidden_layer(fused_features)))
+
+    def action_scores(self, fused_features, action_embeddings: np.ndarray):
+        """Unnormalised scores ``A_t (W_2 ReLU(W_1 Z))``, one per action row."""
         action_embeddings = np.asarray(action_embeddings, dtype=np.float64)
-        if action_embeddings.ndim != 2 or action_embeddings.shape[1] != self.action_dim:
+        if (
+            action_embeddings.ndim != fused_features.ndim + 1
+            or action_embeddings.shape[-1] != self.action_dim
+        ):
             raise ValueError(
-                f"expected action embeddings of shape (n, {self.action_dim}), "
-                f"got {action_embeddings.shape}"
+                f"expected action embeddings of shape (..., n, {self.action_dim}) matching "
+                f"the features' batch, got {action_embeddings.shape}"
             )
-        projected = self.output_layer(self.hidden_layer(fused_features).relu())  # (action_dim,)
-        return Tensor(action_embeddings).matmul(projected)
+        projected = self.project(fused_features)
+        column = projected.reshape(*projected.shape, 1)
+        return (action_embeddings @ column).reshape(action_embeddings.shape[:-1])
 
-    def forward(self, fused_features: Tensor, action_embeddings: np.ndarray) -> Tensor:
-        """Action log-probabilities ``log π_θ(a_t | s_t)``."""
-        scores = self.action_scores(fused_features, action_embeddings)
-        return scores.log_softmax(axis=-1)
+    def forward(
+        self,
+        fused_features,
+        action_embeddings: np.ndarray,
+        mask: Optional[np.ndarray] = None,
+    ):
+        """Action log-probabilities ``log π_θ(a_t | s_t)``.
 
-    def action_probabilities(
-        self, fused_features: Tensor, action_embeddings: np.ndarray
-    ) -> np.ndarray:
-        """Probabilities as a plain array (used at inference time)."""
-        scores = self.action_scores(fused_features, action_embeddings)
-        return scores.softmax(axis=-1).data.copy()
-
-    def log_probs_batch(
-        self, fused_features: Tensor, action_embeddings: np.ndarray, mask: np.ndarray
-    ) -> Tensor:
-        """Masked log-probabilities over padded per-row action matrices.
-
-        ``fused_features`` is the batched complementary features ``Z`` of shape
-        ``(B, fusion_dim)``; ``action_embeddings`` is a padded ``(B, n_max,
-        action_dim)`` batch (see :func:`repro.nn.batched.pad_action_matrices`)
-        and ``mask`` a boolean ``(B, n_max)`` marking real actions.  Padded
-        positions receive ``-inf`` scores, so each row's log-softmax matches
-        :meth:`forward` on that row's unpadded action matrix.  This is the
-        differentiable training twin of :meth:`project_batch`.
+        ``mask`` (boolean, same shape as the scores) marks real actions of a
+        padded batch; padded positions get ``-inf``, so each row matches the
+        unpadded single-state call on that row's action matrix.
         """
-        action_embeddings = np.asarray(action_embeddings, dtype=np.float64)
-        if action_embeddings.ndim != 3 or action_embeddings.shape[2] != self.action_dim:
-            raise ValueError(
-                f"expected padded action embeddings of shape (B, n, {self.action_dim}), "
-                f"got {action_embeddings.shape}"
-            )
-        batch, n_max = action_embeddings.shape[:2]
-        projected = self.output_layer(self.hidden_layer(fused_features).relu())  # (B, action_dim)
-        scores = (
-            Tensor(action_embeddings)
-            .matmul(projected.reshape(batch, self.action_dim, 1))
-            .reshape(batch, n_max)
-        )
-        bias = np.where(np.asarray(mask, dtype=bool), 0.0, -np.inf)
-        return (scores + Tensor(bias)).log_softmax(axis=-1)
+        scores = self.action_scores(fused_features, action_embeddings)
+        if mask is not None:
+            scores = scores + np.where(np.asarray(mask, dtype=bool), 0.0, -np.inf)
+        return F.log_softmax(scores, axis=-1)
 
-    def project_batch(self, fused_features: np.ndarray) -> np.ndarray:
-        """``W_2 ReLU(W_1 Z + b_1) + b_2`` for a ``(B, fusion_dim)`` batch.
-
-        The no-grad serving path: each row of the result is dotted with a
-        branch's action matrix to obtain that branch's action scores, so one
-        matrix product replaces ``B`` per-branch tensor pipelines.
-        """
-        hidden = np.maximum(
-            fused_features @ self.hidden_layer.weight.data + self.hidden_layer.bias.data,
-            0.0,
-        )
-        return hidden @ self.output_layer.weight.data + self.output_layer.bias.data
+    def action_probabilities(self, fused_features, action_embeddings: np.ndarray) -> np.ndarray:
+        """Probabilities as a plain array (inference: always untraced)."""
+        if isinstance(fused_features, Tensor):
+            fused_features = fused_features.data
+        return F.softmax(self.action_scores(fused_features, action_embeddings), axis=-1)
 
 
 def stack_action_embeddings(
@@ -111,10 +97,38 @@ def stack_action_embeddings(
     entity_embeddings: np.ndarray,
 ) -> np.ndarray:
     """Build the action matrix ``A_t``: each row is ``[relation ; entity]``."""
-    if not actions:
+    if not len(actions):
         raise ValueError("action space is empty")
-    rows = [
-        np.concatenate([relation_embeddings[relation], entity_embeddings[entity]])
-        for relation, entity in actions
-    ]
-    return np.stack(rows)
+    ids = np.fromiter(chain.from_iterable(actions), dtype=np.intp, count=2 * len(actions))
+    ids = ids.reshape(-1, 2)
+    return np.concatenate(
+        [relation_embeddings[ids[:, 0]], entity_embeddings[ids[:, 1]]], axis=1
+    )
+
+
+def pad_action_matrices(
+    action_lists: Sequence[Sequence[Tuple[int, int]]],
+    relation_embeddings: np.ndarray,
+    entity_embeddings: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Padded ``A_t`` batch for per-query action spaces of different sizes.
+
+    Returns ``(embeddings, mask)``: ``embeddings`` is ``(B, n_max, 2 * d)``
+    with the rows of :func:`stack_action_embeddings` per query, and ``mask``
+    a boolean ``(B, n_max)`` marking real (non-padding) actions.  Padding
+    rows are zeros after the real actions, preserving each query's order.
+    """
+    if not action_lists:
+        raise ValueError("action_lists must not be empty")
+    counts = np.fromiter((len(actions) for actions in action_lists), dtype=np.intp)
+    if counts.min() == 0:
+        raise ValueError("action space is empty")
+    rows = stack_action_embeddings(
+        [action for actions in action_lists for action in actions],
+        relation_embeddings,
+        entity_embeddings,
+    )
+    mask = np.arange(counts.max()) < counts[:, None]
+    embeddings = np.zeros(mask.shape + rows.shape[1:])
+    embeddings[mask] = rows  # row-major fill keeps each query's action order
+    return embeddings, mask

@@ -11,8 +11,8 @@ with a moving-average baseline subtracted from the reward to reduce variance
 Episode sampling runs through :class:`repro.rl.batched_rollout.BatchedRolloutEngine`
 by default (``ReinforceConfig.vectorized``), which rolls out the whole
 mini-batch in lockstep with batched fusion/policy/LSTM forwards.  Agents the
-engine cannot batch (custom ``action_log_probs`` or fuser — e.g. the
-hierarchical RLH baseline) automatically fall back to the scalar
+engine cannot batch (a custom ``action_log_probs`` — e.g. the hierarchical
+RLH baseline) automatically fall back to the scalar
 ``sample_episode`` loop, as does ``vectorized=False``.  Both paths draw each
 episode from its own child RNG stream spawned in episode order from the
 trainer's generator, so they produce identical episodes under the same seed.

@@ -55,7 +55,7 @@ from repro.serve.arena import (
     write_arena,
 )
 from repro.serve.batcher import BatcherClosed, BatchRequest, DynamicBatcher, execute_batch
-from repro.serve.cache import ActionSpaceCache, LRUCache
+from repro.serve.cache import ActionSpaceCache
 from repro.serve.config import BACKENDS, ServeConfig
 from repro.serve.engine import BatchBeamSearch
 from repro.serve.procpool import ProcessWorkerGroup, WorkerCrashError
@@ -87,7 +87,6 @@ __all__ = [
     "CanaryRoute",
     "DynamicBatcher",
     "EmbeddingReasoner",
-    "LRUCache",
     "ModelPool",
     "ModelRegistry",
     "ModelVersion",

@@ -16,13 +16,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.rl.environment import EpisodeState, MKGEnvironment, Query
-
-# The generic structure moved to repro.utils.lru so the CSR graph backend can
-# bound its adjacency-row materialization with the same cache; re-exported
-# here because serving code has always imported it from this module.
+from repro.rl.policy import stack_action_embeddings
 from repro.utils.lru import LRUCache
 
-__all__ = ["ActionSpaceCache", "LRUCache"]
+__all__ = ["ActionSpaceCache"]
 
 
 class ActionSpaceCache:
@@ -93,11 +90,8 @@ class ActionSpaceCache:
         return self.matrix_cache.get_or_compute(key, lambda: self._stack(actions))
 
     def _stack(self, actions: List[Tuple[int, int]]) -> np.ndarray:
-        relations = np.fromiter((r for r, _ in actions), dtype=np.intp, count=len(actions))
-        entities = np.fromiter((e for _, e in actions), dtype=np.intp, count=len(actions))
-        return np.concatenate(
-            [self._relation_embeddings[relations], self._entity_embeddings[entities]],
-            axis=1,
+        return stack_action_embeddings(
+            actions, self._relation_embeddings, self._entity_embeddings
         )
 
     # ------------------------------------------------------------------ stats

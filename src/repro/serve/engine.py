@@ -4,25 +4,24 @@ The evaluation-time :func:`repro.rl.rollout.beam_search` answers one query at
 a time: every branch expansion runs its own fusion, policy, and LSTM forward
 pass on ``(1, d)``-shaped tensors, so the cost is dominated by per-op NumPy
 dispatch overhead rather than arithmetic.  This engine advances *all* queries
-of a batch depth-by-depth and batches the per-branch work through the shared
-primitives of :mod:`repro.nn.batched`:
+of a batch depth-by-depth and calls the agent's own modules on ``(B, ...)``
+ndarrays, which run their single forward as untraced NumPy:
 
-* the fusion forward pass runs on ``(B, ...)`` arrays for the gate-attention
-  family and the structure-only / concatenation fusers (exact same weights
-  and activation numerics as the module path);
-* the policy head projects every branch's complementary features in one
-  matrix product, leaving only a per-branch dot with the (cached) action
-  matrix;
-* the path-history LSTM folds all surviving expansions in one batched cell
-  evaluation.
+* the fuser produces every branch's complementary features in one call,
+  whichever fusion variant the agent uses;
+* the policy head projects them in one matrix product
+  (:meth:`repro.rl.policy.PolicyNetwork.project`), leaving only a
+  per-branch dot with the (cached) action matrix;
+* the path-history ``LSTMCell`` folds all surviving expansions in one call.
 
 Agents that override ``action_log_probs`` (e.g. the hierarchical RLH agent)
-or use a fuser without a batched implementation fall back to per-branch
-scoring through the agent itself, so every ``ReasoningAgent`` stays
-servable — the batch engine is an optimisation, not a new contract.
+are scored per branch through the agent itself, so every ``ReasoningAgent``
+with the stock episode state stays servable — the batch engine is an
+optimisation, not a new contract.
 
-The same primitives power :class:`repro.rl.batched_rollout.BatchedRolloutEngine`
-on the training side; this module keeps only the beam-search-specific parts.
+:class:`repro.rl.batched_rollout.BatchedRolloutEngine` calls the same
+modules with a Tensor history on the training side; this module keeps only
+the beam-search-specific parts.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.model import MMKGRAgent
-from repro.nn.batched import BatchedFusion, BatchedLSTM, stable_softmax
+from repro.nn.functional import softmax as stable_softmax
 from repro.nn.tensor import no_grad
 from repro.rl.environment import EpisodeState, MKGEnvironment, Query
-from repro.rl.policy import PolicyNetwork
+from repro.rl.policy import stack_action_embeddings
 from repro.rl.rollout import BeamSearchResult
 from repro.serve.cache import ActionSpaceCache
 
@@ -89,16 +88,10 @@ class BatchBeamSearch:
         self.environment = environment
         self.beam_width = beam_width
         self.cache = cache or self.build_cache(agent, environment)
-        self._lstm = BatchedLSTM(agent)
-        self._fusion = BatchedFusion(agent)
-        # The fast path requires the stock scoring pipeline; subclasses that
-        # reinterpret action scores (e.g. hierarchical policies) go through
-        # the agent itself, branch by branch.
-        self._fast_policy = (
-            type(agent).action_log_probs is MMKGRAgent.action_log_probs
-            and isinstance(agent.policy, PolicyNetwork)
-            and self._fusion.supported
-        )
+        self._lstm = agent.history_encoder.cell
+        # Subclasses that reinterpret action scores (e.g. hierarchical
+        # policies) go through the agent itself, branch by branch.
+        self._fast_policy = type(agent).action_log_probs is MMKGRAgent.action_log_probs
 
     @staticmethod
     def build_cache(
@@ -123,13 +116,12 @@ class BatchBeamSearch:
         """Whether the lockstep engine can drive ``agent`` at all.
 
         Deliberately broader than ``BatchedRolloutEngine.supports``: an agent
-        overriding ``action_log_probs`` or using an un-vectorized fuser (e.g.
-        the hierarchical RLH baseline) still advances through the engine via
-        per-branch slow-path scoring.  What the engine cannot relax is the
-        episode-state contract — the stock feature store, the
-        ``(hidden, cell)`` LSTM snapshot layout, and the stock episode
-        bookkeeping it re-implements in lockstep.  Protocol-only agents fail
-        this check and must go through the scalar
+        overriding ``action_log_probs`` (e.g. the hierarchical RLH baseline)
+        still advances through the engine via per-branch slow-path scoring.
+        What the engine cannot relax is the episode-state contract — the
+        stock feature store, the ``(hidden, cell)`` LSTM snapshot layout,
+        and the stock episode bookkeeping it re-implements in lockstep.
+        Protocol-only agents fail this check and must go through the scalar
         :func:`repro.rl.rollout.beam_search` instead.
         """
         from repro.rl.history import PathHistoryEncoder
@@ -165,7 +157,7 @@ class BatchBeamSearch:
         )
         hidden = np.zeros((batch, self._lstm.hidden_size))
         cell = np.zeros((batch, self._lstm.hidden_size))
-        hidden, cell = self._lstm.step(inputs, hidden, cell)
+        hidden, cell = self._lstm(inputs, (hidden, cell))
         return [
             [
                 _Branch(
@@ -195,7 +187,7 @@ class BatchBeamSearch:
         entries: List[Tuple[int, _Branch, List[Tuple[int, int]], np.ndarray]],
         queries: Sequence[Query],
     ) -> List[np.ndarray]:
-        features = self.agent.features
+        agent = self.agent
         batch = len(entries)
         sources = np.fromiter(
             (queries[qi].source for qi, *_ in entries), dtype=np.intp, count=batch
@@ -207,26 +199,8 @@ class BatchBeamSearch:
             (queries[qi].relation for qi, *_ in entries), dtype=np.intp, count=batch
         )
         history = np.concatenate([branch.hidden for _, branch, *_ in entries], axis=0)
-        if self._fusion.needs_modalities:
-            source_text = features.text_features[sources]
-            source_image = features.image_features[sources]
-            current_text = features.text_features[currents]
-            current_image = features.image_features[currents]
-        else:
-            # Structure-only fusers never read the modality slots; skip the
-            # four per-round feature gathers entirely.
-            source_text = source_image = current_text = current_image = None
-        fused = self._fusion.fuse(
-            features.entity_embeddings[sources],
-            features.entity_embeddings[currents],
-            features.relation_embeddings[relations],
-            history,
-            source_text,
-            source_image,
-            current_text,
-            current_image,
-        )
-        projected = self.agent.policy.project_batch(fused)
+        fused = agent.fuser(agent.fusion_inputs(sources, currents, relations, history))
+        projected = agent.policy.project(fused)
         return [
             stable_softmax(matrix @ projected[i])
             for i, (_, _, _, matrix) in enumerate(entries)
@@ -305,22 +279,10 @@ class BatchBeamSearch:
 
             if expansions:
                 features = self.agent.features
-                rel_ids = np.fromiter(
-                    (action[0] for _, _, action, _ in expansions),
-                    dtype=np.intp,
-                    count=len(expansions),
-                )
-                ent_ids = np.fromiter(
-                    (action[1] for _, _, action, _ in expansions),
-                    dtype=np.intp,
-                    count=len(expansions),
-                )
-                inputs = np.concatenate(
-                    [
-                        features.relation_embeddings[rel_ids],
-                        features.entity_embeddings[ent_ids],
-                    ],
-                    axis=1,
+                inputs = stack_action_embeddings(
+                    [action for _, _, action, _ in expansions],
+                    features.relation_embeddings,
+                    features.entity_embeddings,
                 )
                 hidden = np.concatenate(
                     [parent.hidden for _, parent, _, _ in expansions], axis=0
@@ -328,7 +290,7 @@ class BatchBeamSearch:
                 cell = np.concatenate(
                     [parent.cell for _, parent, _, _ in expansions], axis=0
                 )
-                hidden, cell = self._lstm.step(inputs, hidden, cell)
+                hidden, cell = self._lstm(inputs, (hidden, cell))
                 for i, (qi, parent, action, log_prob) in enumerate(expansions):
                     survivors[qi].append(
                         _Branch(

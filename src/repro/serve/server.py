@@ -36,7 +36,6 @@ import shutil
 import tempfile
 import threading
 import time
-import warnings
 from collections import defaultdict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -524,28 +523,14 @@ class ReasoningServer:
     traffic between them (:meth:`route`).
     """
 
-    _UNSET = object()
-
     def __init__(
         self,
         reasoner=None,
         config: Optional[ServeConfig] = None,
         registry: Optional[Union[ModelRegistry, str]] = None,
         default_model: Optional[str] = None,
-        max_batch_size=_UNSET,
-        max_wait_ms=_UNSET,
-        num_workers=_UNSET,
-        default_k=_UNSET,
-        seed=_UNSET,
     ):
-        config = self._resolve_config(
-            config,
-            max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-            num_workers=num_workers,
-            default_k=default_k,
-            seed=seed,
-        )
+        config = config if config is not None else ServeConfig()
         if registry is None and config.registry is not None:
             registry = config.registry
         if default_model is None:
@@ -569,33 +554,6 @@ class ReasoningServer:
             self.add_model(reasoner=reasoner, name=default_model)
         elif default_model is not None:
             self.add_model(default_model)
-
-    @classmethod
-    def _resolve_config(cls, config: Optional[ServeConfig], **legacy) -> ServeConfig:
-        """Merge the pre-:class:`ServeConfig` kwarg sprawl into one config.
-
-        The old constructor kwargs still work (shimmed, with a
-        :class:`DeprecationWarning`); mixing them with an explicit
-        ``config=`` is ambiguous and rejected.
-        """
-        supplied = {key: value for key, value in legacy.items() if value is not cls._UNSET}
-        if not supplied:
-            return config if config is not None else ServeConfig()
-        if config is not None:
-            raise ValueError(
-                f"pass either config= or the legacy kwargs {sorted(supplied)}, not both"
-            )
-        warnings.warn(
-            "ReasoningServer(max_batch_size=..., max_wait_ms=..., num_workers=..., "
-            "default_k=..., seed=...) is deprecated; pass config=ServeConfig(...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        supplied = {
-            ("workers" if key == "num_workers" else key): value
-            for key, value in supplied.items()
-        }
-        return ServeConfig(**supplied)
 
     # --------------------------------------------------------------- tenancy
     def add_model(

@@ -16,16 +16,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.config import EvaluationConfig
+from repro.core.config import EvaluationConfig, MMKGRConfig
 from repro.core.evaluator import (
     beam_search_results,
     evaluate_entity_prediction,
     evaluate_relation_prediction,
     hop_distribution,
 )
+from repro.core.model import MMKGRAgent
 from repro.core.trainer import MMKGRPipeline
+from repro.features.extraction import FeatureStore
+from repro.fusion.variants import FusionVariant
 from repro.kg.graph import KnowledgeGraph
 from repro.rl.environment import MKGEnvironment, Query
+from repro.rl.rollout import beam_search
 from repro.serve.engine import BatchBeamSearch
 
 
@@ -240,6 +244,42 @@ class TestScalarFallback:
                 rtol=1e-9,
             )
             assert fast_result.entity_hops == slow_result.entity_hops
+
+
+class TestFusionVariantBeamParity:
+    """Every fusion variant runs the engine's fast path with the scalar beams."""
+
+    @pytest.mark.parametrize("variant", list(FusionVariant), ids=lambda v: v.value)
+    def test_batch_beam_search_matches_scalar_beam_search(self, tiny_dataset, variant):
+        features = FeatureStore(tiny_dataset.mkg, structural_dim=8, rng=np.random.default_rng(0))
+        config = MMKGRConfig(
+            structural_dim=8,
+            history_dim=8,
+            auxiliary_dim=8,
+            attention_dim=8,
+            joint_dim=8,
+            policy_hidden_dim=16,
+            max_steps=3,
+            max_actions=16,
+            seed=0,
+            fusion_variant=variant,
+        )
+        agent = MMKGRAgent(features, config=config, rng=0)
+        environment = MKGEnvironment(tiny_dataset.train_graph, max_steps=3, max_actions=16)
+        queries = [Query(t.head, t.relation, -1) for t in tiny_dataset.splits.test[:8]]
+        engine = BatchBeamSearch(agent, environment, beam_width=4)
+        assert engine._fast_policy
+        for query, fast in zip(queries, engine.run(queries)):
+            slow = beam_search(agent, environment, query, beam_width=4)
+            assert [e for e, _ in fast.ranked_entities()] == [
+                e for e, _ in slow.ranked_entities()
+            ]
+            np.testing.assert_allclose(
+                [score for _, score in fast.ranked_entities()],
+                [score for _, score in slow.ranked_entities()],
+                rtol=1e-9,
+            )
+            assert fast.paths == slow.paths
 
 
 class TestRelationRankingDeterminism:

@@ -15,6 +15,7 @@ from repro.fusion.variants import (
 )
 from repro.nn.tensor import Tensor
 
+BATCH = 5
 STRUCTURAL_DIM = 8
 HISTORY_DIM = 6
 TEXT_DIM = 10
@@ -22,16 +23,16 @@ IMAGE_DIM = 12
 
 
 def make_inputs(rng, history_requires_grad: bool = False) -> FusionInputs:
-    history = Tensor(rng.normal(size=(HISTORY_DIM,)), requires_grad=history_requires_grad)
+    history = Tensor(rng.normal(size=(BATCH, HISTORY_DIM)), requires_grad=history_requires_grad)
     return FusionInputs(
-        source_embedding=rng.normal(size=STRUCTURAL_DIM),
-        current_embedding=rng.normal(size=STRUCTURAL_DIM),
-        query_relation_embedding=rng.normal(size=STRUCTURAL_DIM),
+        source_embedding=rng.normal(size=(BATCH, STRUCTURAL_DIM)),
+        current_embedding=rng.normal(size=(BATCH, STRUCTURAL_DIM)),
+        query_relation_embedding=rng.normal(size=(BATCH, STRUCTURAL_DIM)),
         history=history,
-        source_text=rng.normal(size=TEXT_DIM),
-        source_image=rng.normal(size=IMAGE_DIM),
-        current_text=rng.normal(size=TEXT_DIM),
-        current_image=rng.normal(size=IMAGE_DIM),
+        source_text=rng.normal(size=(BATCH, TEXT_DIM)),
+        source_image=rng.normal(size=(BATCH, IMAGE_DIM)),
+        current_text=rng.normal(size=(BATCH, TEXT_DIM)),
+        current_image=rng.normal(size=(BATCH, IMAGE_DIM)),
     )
 
 
@@ -51,29 +52,15 @@ def make_network(**kwargs) -> UnifiedGateAttentionNetwork:
 
 
 class TestUnifiedGateAttentionNetwork:
-    def test_output_is_1d_of_joint_dim(self, rng):
+    def test_output_is_batch_by_joint_dim(self, rng):
         network = make_network()
         z = network(make_inputs(rng))
-        assert z.shape == (8,)
+        assert z.shape == (BATCH, 8)
         assert network.output_dim == 8
 
     def test_odd_auxiliary_dim_raises(self):
         with pytest.raises(ValueError):
             make_network(auxiliary_dim=7)
-
-    def test_fusion_inputs_coerce_history(self, rng):
-        inputs = FusionInputs(
-            source_embedding=rng.normal(size=STRUCTURAL_DIM),
-            current_embedding=rng.normal(size=STRUCTURAL_DIM),
-            query_relation_embedding=rng.normal(size=STRUCTURAL_DIM),
-            history=rng.normal(size=HISTORY_DIM),  # plain array is accepted
-            source_text=rng.normal(size=TEXT_DIM),
-            source_image=rng.normal(size=IMAGE_DIM),
-            current_text=rng.normal(size=TEXT_DIM),
-            current_image=rng.normal(size=IMAGE_DIM),
-        )
-        assert isinstance(inputs.history, Tensor)
-        assert inputs.structural_dim() == 2 * STRUCTURAL_DIM + HISTORY_DIM
 
     def test_gradients_reach_parameters_and_history(self, rng):
         network = make_network()
@@ -117,7 +104,7 @@ class TestVariants:
             rng=0,
         )
         z = fuser(make_inputs(rng))
-        assert z.shape == (8,)
+        assert z.shape == (BATCH, 8)
         assert fuser.output_dim == 8
 
     def test_structure_only_ignores_modalities(self, rng):
@@ -141,7 +128,7 @@ class TestVariants:
         fuser = AttentionOnlyFuser(
             STRUCTURAL_DIM, HISTORY_DIM, TEXT_DIM, IMAGE_DIM, output_dim=8, rng=0
         )
-        assert fuser(make_inputs(rng)).shape == (8,)
+        assert fuser(make_inputs(rng)).shape == (BATCH, 8)
 
     def test_variant_enum_round_trip(self):
         assert FusionVariant("full") is FusionVariant.FULL

@@ -67,9 +67,7 @@ def _assert_identical_episodes(batched, scalar):
 
 
 class TestSeedParity:
-    @pytest.mark.parametrize(
-        "variant", [FusionVariant.FULL, FusionVariant.STRUCTURE_ONLY]
-    )
+    @pytest.mark.parametrize("variant", list(FusionVariant))
     def test_identical_episodes_under_same_seed(self, setup, variant):
         dataset, features = setup
         agent = MMKGRAgent(features, config=_config(variant), rng=0)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.rl.environment import MKGEnvironment, Query
-from repro.serve.cache import ActionSpaceCache, LRUCache
+from repro.serve.cache import ActionSpaceCache
+from repro.utils.lru import LRUCache
 
 
 class TestLRUCache:

@@ -18,7 +18,7 @@ import urllib.request
 import pytest
 
 from repro.baselines.registry import fit_baseline
-from repro.serve import ModelRegistry, Reasoner, ReasoningServer
+from repro.serve import ModelRegistry, Reasoner, ReasoningServer, ServeConfig
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,10 @@ def _post(url, payload):
 class TestMultiModelHTTP:
     @pytest.fixture()
     def served(self, mmkgr_reasoner, mtrl_reasoner):
-        server = ReasoningServer(mmkgr_reasoner, max_batch_size=4, max_wait_ms=10)
+        server = ReasoningServer(
+            mmkgr_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        )
         server.add_model(reasoner=mtrl_reasoner)  # hosted as "MTRL"
         httpd = server.http_server("127.0.0.1", 0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
@@ -180,8 +183,7 @@ class TestHotSwap:
         server = ReasoningServer(
             registry=registry,
             default_model="mmkgr@prod",
-            max_batch_size=4,
-            max_wait_ms=10,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
         )
         assert server.pool.entry("mmkgr").version == 1
         with server:
@@ -205,7 +207,10 @@ class TestHotSwap:
         assert server.stats.errors_total == 0
 
     def test_reload_with_explicit_reasoner(self, mmkgr_reasoner, test_queries):
-        server = ReasoningServer(mmkgr_reasoner, max_batch_size=4, max_wait_ms=10)
+        server = ReasoningServer(
+            mmkgr_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        )
         with server:
             before = server.query(*test_queries[0], k=3)
             assert server.reload("MMKGR", reasoner=mmkgr_reasoner.replicate()) is None
@@ -224,7 +229,10 @@ class TestHotSwap:
         # after a hot swap closed that entry's batcher. The server must
         # transparently retry on the replacement instead of leaking
         # BatcherClosed to the client.
-        server = ReasoningServer(mmkgr_reasoner, max_batch_size=4, max_wait_ms=5)
+        server = ReasoningServer(
+            mmkgr_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=5),
+        )
         with server:
             retired = server.pool.entry("MMKGR")
             server.reload("MMKGR", reasoner=mmkgr_reasoner.replicate())
@@ -249,8 +257,7 @@ class TestHotSwap:
         server = ReasoningServer(
             registry=registry,
             default_model="mmkgr@prod",
-            max_batch_size=4,
-            max_wait_ms=2,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=2),
         )
         futures, errors = [], []
         swapping = threading.Event()
@@ -293,9 +300,7 @@ class TestCanaryRouting:
         server = ReasoningServer(
             registry=registry,
             default_model="mmkgr@prod",
-            max_batch_size=8,
-            max_wait_ms=5,
-            seed=seed,
+            config=ServeConfig(max_batch_size=8, max_wait_ms=5, seed=seed),
         )
         canary_key = server.route("mmkgr", self.FRACTION)
         assert canary_key == "mmkgr@canary"
@@ -354,7 +359,10 @@ class TestCanaryRouting:
             json.dumps({"head": head, "relation": relation, "model": "nope"}),
         ]
         output = io.StringIO()
-        server = ReasoningServer(mmkgr_reasoner, max_batch_size=4, max_wait_ms=5)
+        server = ReasoningServer(
+            mmkgr_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=5),
+        )
         server.add_model(reasoner=mtrl_reasoner)
         with server:
             failures = server.serve_stdio(io.StringIO("\n".join(lines) + "\n"), output)

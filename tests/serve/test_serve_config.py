@@ -1,8 +1,7 @@
-"""ServeConfig tests: validation, overrides, and the legacy-kwarg shim.
+"""ServeConfig tests: validation, overrides, and the constructor surface.
 
 The unified config is the one surface every entry point (constructor, CLI,
-load-test spec) funnels through, so its validation errors and the
-deprecation shim's mapping must stay exact.
+load-test spec) funnels through, so its validation errors must stay exact.
 """
 
 from __future__ import annotations
@@ -74,29 +73,11 @@ class TestWithOverrides:
 
 
 class TestLegacyKwargShim:
-    def test_legacy_kwargs_warn_and_map_onto_config(self):
-        with pytest.warns(DeprecationWarning, match="pass config=ServeConfig"):
-            server = ReasoningServer(
-                _StubReasoner(),
-                max_batch_size=4,
-                max_wait_ms=1.5,
-                num_workers=2,
-                default_k=3,
-                seed=42,
-            )
-        try:
-            assert server.config.max_batch_size == 4
-            assert server.config.max_wait_ms == 1.5
-            assert server.config.workers == 2  # num_workers renamed
-            assert server.config.default_k == 3
-            assert server.config.seed == 42
-            assert server.config.backend == "threads"
-        finally:
-            server.close()
+    """The pre-ServeConfig constructor kwargs are gone; config= is the only way in."""
 
-    def test_config_plus_legacy_kwargs_is_ambiguous(self):
-        with pytest.raises(ValueError, match="not both"):
-            ReasoningServer(_StubReasoner(), config=ServeConfig(), num_workers=2)
+    def test_legacy_kwargs_are_rejected(self):
+        with pytest.raises(TypeError):
+            ReasoningServer(_StubReasoner(), num_workers=2)
 
     def test_config_only_does_not_warn(self):
         import warnings

@@ -16,7 +16,7 @@ import urllib.request
 
 import pytest
 
-from repro.serve import Reasoner, ReasoningServer, ServerStats
+from repro.serve import Reasoner, ReasoningServer, ServeConfig, ServerStats
 
 
 @pytest.fixture(scope="module")
@@ -39,14 +39,20 @@ def _ranking(predictions):
 class TestSubmit:
     def test_served_results_match_direct_queries(self, fitted_reasoner, test_queries):
         direct = fitted_reasoner.query_batch(test_queries, k=5)
-        with ReasoningServer(fitted_reasoner, max_batch_size=8, max_wait_ms=20) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=8, max_wait_ms=20),
+        ) as server:
             futures = [server.submit(h, r, k=5) for h, r in test_queries]
             served = [f.result(timeout=30) for f in futures]
         for direct_one, served_one in zip(direct, served):
             assert _ranking(direct_one) == _ranking(served_one)
 
     def test_burst_traffic_forms_micro_batches(self, fitted_reasoner, test_queries):
-        with ReasoningServer(fitted_reasoner, max_batch_size=8, max_wait_ms=100) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=8, max_wait_ms=100),
+        ) as server:
             futures = [server.submit(h, r, k=3) for h, r in test_queries * 2]
             for future in futures:
                 future.result(timeout=30)
@@ -59,7 +65,10 @@ class TestSubmit:
 
     def test_error_isolation_across_batchmates(self, fitted_reasoner, test_queries):
         head, relation = test_queries[0]
-        with ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=50) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=50),
+        ) as server:
             good = server.submit(head, relation, k=3)
             bad = server.submit("no-such-entity", relation, k=3)
             also_good = server.submit(head, relation, k=3)
@@ -71,7 +80,10 @@ class TestSubmit:
 
     def test_mixed_k_requests_are_grouped(self, fitted_reasoner, test_queries):
         head, relation = test_queries[0]
-        with ReasoningServer(fitted_reasoner, max_batch_size=8, max_wait_ms=50) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=8, max_wait_ms=50),
+        ) as server:
             three = server.submit(head, relation, k=3).result(timeout=30)
             five = server.submit(head, relation, k=5).result(timeout=30)
         assert len(three) <= 3
@@ -80,7 +92,8 @@ class TestSubmit:
 
     def test_worker_pool_replicas_share_caches(self, fitted_reasoner, test_queries):
         with ReasoningServer(
-            fitted_reasoner, max_batch_size=4, max_wait_ms=10, num_workers=3
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10, workers=3),
         ) as server:
             futures = [server.submit(h, r, k=3) for h, r in test_queries * 4]
             results = [f.result(timeout=30) for f in futures]
@@ -194,7 +207,10 @@ class TestParseQueryObject:
         import threading
         import urllib.request
 
-        server = ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10)
+        server = ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        )
         httpd = server.http_server("127.0.0.1", 0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -220,7 +236,10 @@ class TestParseQueryObject:
 class TestHTTPFrontEnd:
     @pytest.fixture()
     def http_server(self, fitted_reasoner):
-        server = ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10)
+        server = ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        )
         httpd = server.http_server("127.0.0.1", 0)  # ephemeral port
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -296,13 +315,19 @@ class TestHealthz:
     """
 
     def test_unstarted_server_is_unready(self, fitted_reasoner):
-        server = ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10)
+        server = ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        )
         healthy, payload = server.healthz_dict()
         assert healthy is False and payload["status"] == "unready"
         server.close()
 
     def test_running_server_reports_per_model_readiness(self, fitted_reasoner):
-        with ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        ) as server:
             server.add_model(reasoner=fitted_reasoner.replicate(), name="replica")
             healthy, payload = server.healthz_dict()
             assert healthy is True and payload["status"] == "ok"
@@ -310,7 +335,10 @@ class TestHealthz:
             assert all(model["ready"] for model in payload["models"].values())
 
     def test_drain_flips_healthz_before_workers_finish(self, fitted_reasoner):
-        server = ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10).start()
+        server = ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        ).start()
         server.close()
         healthy, payload = server.healthz_dict()
         assert healthy is False
@@ -318,7 +346,10 @@ class TestHealthz:
         assert all(model["ready"] is False for model in payload["models"].values())
 
     def test_http_healthz_returns_503_while_draining(self, fitted_reasoner):
-        server = ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10)
+        server = ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        )
         httpd = server.http_server("127.0.0.1", 0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -352,7 +383,10 @@ class TestStdioFrontEnd:
             json.dumps({"head": "no-such-entity", "relation": r0}),
         ]
         output = io.StringIO()
-        with ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        ) as server:
             failures = server.serve_stdio(io.StringIO("\n".join(lines) + "\n"), output)
         records = [json.loads(line) for line in output.getvalue().splitlines()]
         assert failures == 2
@@ -383,7 +417,10 @@ class TestStdioFrontEnd:
             json.dumps({"head": h2, "relation": r2, "k": 2}),
         ]
         output = io.StringIO()
-        with ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        ) as server:
             failures = server.serve_stdio(io.StringIO("\n".join(lines) + "\n"), output)
         records = [json.loads(line) for line in output.getvalue().splitlines()]
         # 3 failures: broken JSON + unknown entity + boolean head.
@@ -402,7 +439,10 @@ class TestStdioFrontEnd:
     def test_all_failures_stream_returns_every_error(self, fitted_reasoner):
         lines = ["nonsense", json.dumps({"head": "ghost", "relation": "ghost-rel"})]
         output = io.StringIO()
-        with ReasoningServer(fitted_reasoner, max_batch_size=2, max_wait_ms=5) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=2, max_wait_ms=5),
+        ) as server:
             failures = server.serve_stdio(io.StringIO("\n".join(lines) + "\n"), output)
         records = [json.loads(line) for line in output.getvalue().splitlines()]
         assert failures == 2
