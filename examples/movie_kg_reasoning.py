@@ -23,8 +23,6 @@ from repro.kg.datasets import MKGDataset, SyntheticMKGConfig
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.multimodal import EntityModalities, MultiModalKnowledgeGraph
 from repro.kg.splits import split_triples
-from repro.rl.environment import Query
-from repro.rl.rollout import beam_search
 
 MOVIE_FACTS = [
     # films and the people around them: hero/heroine -> played_by chains give
@@ -129,29 +127,30 @@ def main() -> None:
     pipeline = MMKGRPipeline(dataset, preset=preset)
     pipeline.train()
 
+    reasoner = pipeline.reasoner(beam_width=8)
     graph = dataset.graph
     names = graph.entities.symbols()
     print("Held-out queries and the agent's answers (filtered protocol:\n"
           "answers already known from training are skipped in the ranking):\n")
     for triple in dataset.splits.test:
-        query = Query(triple.head, triple.relation, triple.tail)
-        search = beam_search(pipeline.agent, pipeline.environment, query, beam_width=8)
+        predictions = reasoner.query(triple.head, triple.relation, k=8)
         known = dataset.splits.train_graph.tails_for(triple.head, triple.relation)
         ranked = [
-            e for e, _ in search.ranked_entities() if e not in known and e != triple.head
+            p for p in predictions if p.entity not in known and p.entity != triple.head
         ]
-        best = ranked[0] if ranked else search.best_entity()
-        answer = names[best] if best is not None else "(no candidate)"
-        verdict = "correct" if best == triple.tail else f"expected {names[triple.tail]}"
+        best = ranked[0] if ranked else (predictions[0] if predictions else None)
+        answer = best.entity_name if best is not None else "(no candidate)"
+        verdict = (
+            "correct"
+            if best is not None and best.entity == triple.tail
+            else f"expected {names[triple.tail]}"
+        )
         print(
             f"  ({names[triple.head]}, {graph.relations.symbol(triple.relation)}, ?) "
             f"-> {answer}  [{verdict}]"
         )
         if best is not None:
-            steps = " -> ".join(
-                f"[{graph.relations.symbol(r)}] {names[e]}" for r, e in search.paths[best]
-            )
-            print(f"      path: {names[triple.head]} -> {steps}")
+            print(f"      path: {names[triple.head]} -> {best.render_path()}")
     print("\nDone.")
 
 

@@ -14,8 +14,7 @@ trained agent actually walks.
 from __future__ import annotations
 
 from repro import MMKGRPipeline, build_named_dataset, fast_preset
-from repro.rl.environment import Query
-from repro.rl.rollout import beam_search
+from repro.explain import Explainer
 from repro.utils.tables import format_table
 
 
@@ -41,22 +40,16 @@ def main() -> None:
     )
 
     print("\nExample reasoning paths found by the trained agent:")
-    graph = dataset.graph
+    explainer = Explainer(
+        result.agent, pipeline.environment, graph=dataset.graph, beam_width=8, top_k=1
+    )
     shown = 0
-    for triple in dataset.splits.test:
-        query = Query(triple.head, triple.relation, triple.tail)
-        search = beam_search(result.agent, pipeline.environment, query, beam_width=8)
-        if search.best_entity() != triple.tail:
+    for explanation in explainer.explain_triples(dataset.splits.test):
+        if not explanation.is_correct:
             continue
-        path = search.paths[triple.tail]
-        steps = " -> ".join(
-            f"[{graph.relations.symbol(relation)}] {graph.entities.symbol(entity)}"
-            for relation, entity in path
-        )
         print(
-            f"  query ({graph.entities.symbol(triple.head)}, "
-            f"{graph.relations.symbol(triple.relation)}, ?)  answered via  "
-            f"{graph.entities.symbol(triple.head)} -> {steps}"
+            f"  query ({explanation.source_name}, {explanation.query_relation_name}, ?)"
+            f"  answered via  {explanation.best_path().render()}"
         )
         shown += 1
         if shown >= 3:

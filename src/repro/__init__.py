@@ -36,9 +36,10 @@ Typical usage — train once, query many times::
     registry.promote("mmkgr", "prod", version.version)
     server = ReasoningServer(registry=registry, default_model="mmkgr@prod")
 
-Batch experiments (tables/figures of the paper) still run through
-:class:`MMKGRPipeline`, :func:`run_baseline`, and :class:`ExperimentRunner`,
-which now sit on top of the same reasoner protocol.
+Batch experiments (tables/figures of the paper) run through
+:class:`MMKGRPipeline`, :func:`~repro.baselines.fit_baseline` with
+:func:`~repro.baselines.result_from_reasoner`, and :class:`ExperimentRunner`,
+which sit on top of the same reasoner protocol.
 """
 
 from repro.core.ablations import AblationName, build_ablation_pipeline

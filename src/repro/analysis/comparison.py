@@ -19,14 +19,14 @@ import numpy as np
 from repro.analysis.bootstrap import paired_bootstrap_test, sign_test
 from repro.core.config import EvaluationConfig
 from repro.core.evaluator import beam_search_results
+from repro.core.model import MMKGRAgent
 from repro.kg.graph import KnowledgeGraph, Triple
 from repro.rl.environment import MKGEnvironment, Query
-from repro.rl.rollout import ReasoningAgent
 from repro.utils.rng import SeedLike, new_rng
 
 
 def per_query_reciprocal_ranks(
-    agent: ReasoningAgent,
+    agent: MMKGRAgent,
     environment: MKGEnvironment,
     triples: Sequence[Triple],
     filter_graph: Optional[KnowledgeGraph] = None,
@@ -35,8 +35,8 @@ def per_query_reciprocal_ranks(
     """Reciprocal rank of the gold answer for every query, in input order.
 
     Uses the same filtered beam-search protocol as
-    :func:`repro.core.evaluator.evaluate_entity_prediction` — including its
-    vectorized lockstep fast path — but returns the raw per-query values
+    :func:`repro.core.evaluator.evaluate_entity_prediction` — the lockstep
+    batched beam search — but returns the raw per-query values
     instead of their mean, which is what paired significance testing needs.
     """
     config = config or EvaluationConfig()
@@ -136,8 +136,8 @@ def compare_scores(
 
 
 def compare_agents(
-    agent_a: ReasoningAgent,
-    agent_b: ReasoningAgent,
+    agent_a: MMKGRAgent,
+    agent_b: MMKGRAgent,
     environment: MKGEnvironment,
     triples: Sequence[Triple],
     name_a: str = "A",

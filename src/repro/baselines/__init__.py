@@ -20,7 +20,6 @@ from repro.baselines.registry import (
     fit_baseline,
     get_baseline,
     result_from_reasoner,
-    run_baseline,
 )
 from repro.baselines.mtrl import MTRLBaseline
 from repro.baselines.transae import TransAEBaseline
@@ -38,7 +37,6 @@ __all__ = [
     "fit_baseline",
     "get_baseline",
     "result_from_reasoner",
-    "run_baseline",
     "MTRLBaseline",
     "TransAEBaseline",
     "MinervaBaseline",

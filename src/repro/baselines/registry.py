@@ -4,9 +4,8 @@ Every baseline implements :class:`BaselineRunner`: ``fit`` trains the model
 on a dataset and returns a *queryable* reasoner (the
 :class:`~repro.serve.protocol.ReasonerProtocol` contract shared with MMKGR),
 so callers can keep the trained model, answer ``(head, relation, ?)``
-queries, and persist it.  :func:`run_baseline` remains as a thin shim that
-fits a baseline and immediately evaluates it into the metric dictionaries
-the experiment tables consume.
+queries, and persist it.  :func:`result_from_reasoner` evaluates a fitted
+reasoner into the metric dictionaries the experiment tables consume.
 """
 
 from __future__ import annotations
@@ -51,19 +50,9 @@ class BaselineRunner(Protocol):
         """Train on ``dataset`` and return the queryable trained model."""
         ...
 
-    def run(
-        self,
-        dataset: MKGDataset,
-        preset: Optional[ExperimentPreset] = None,
-        evaluate_relations: bool = False,
-        rng: SeedLike = None,
-    ) -> "BaselineResult":
-        """Legacy shim: fit, evaluate, and report only the metric bundle."""
-        ...
-
 
 class FittableBaseline:
-    """Base class giving every baseline the legacy ``run`` shim over ``fit``."""
+    """Base class of the registered baselines: a ``name`` and a ``fit``."""
 
     name = ""
 
@@ -74,19 +63,6 @@ class FittableBaseline:
         rng: SeedLike = None,
     ) -> ReasonerProtocol:
         raise NotImplementedError
-
-    def run(
-        self,
-        dataset: MKGDataset,
-        preset: Optional[ExperimentPreset] = None,
-        evaluate_relations: bool = False,
-        rng: SeedLike = None,
-    ) -> "BaselineResult":
-        preset = preset or fast_preset()
-        reasoner = self.fit(dataset, preset=preset, rng=rng)
-        return result_from_reasoner(
-            reasoner, dataset, preset, evaluate_relations=evaluate_relations, rng=rng
-        )
 
 
 BASELINE_REGISTRY: Dict[str, Type] = {}
@@ -158,20 +134,3 @@ def result_from_reasoner(
         extras=dict(getattr(reasoner, "extras", {}) or {}),
     )
 
-
-def run_baseline(
-    name: str,
-    dataset: MKGDataset,
-    preset: Optional[ExperimentPreset] = None,
-    evaluate_relations: bool = False,
-    rng: SeedLike = None,
-) -> BaselineResult:
-    """Thin shim over :func:`fit_baseline`: train, evaluate, report metrics.
-
-    The trained model itself is discarded; callers that want to keep it (to
-    answer queries or to reuse it across tables) should call
-    :func:`fit_baseline` and evaluate through the reasoner protocol.
-    """
-    return get_baseline(name).run(
-        dataset, preset=preset, evaluate_relations=evaluate_relations, rng=rng
-    )

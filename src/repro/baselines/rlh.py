@@ -13,7 +13,7 @@ strong multi-hop reasoner that still has no access to multi-modal features.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -25,10 +25,38 @@ from repro.serve.reasoner import Reasoner
 from repro.features.extraction import ModalityConfig
 from repro.fusion.variants import FusionVariant
 from repro.kg.datasets import MKGDataset
-from repro.nn.tensor import Tensor
-from repro.rl.environment import EpisodeState
 from repro.rl.rewards import RewardConfig
 from repro.utils.rng import SeedLike
+
+_EPS = 1e-12
+
+
+def relation_level_correction(
+    probabilities: np.ndarray, relations: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """Log-prob corrections of the two-level (relation, then edge) policy.
+
+    ``probabilities`` is a ``(B, n)`` matrix of base action probabilities,
+    ``relations`` the matching relation ids, and ``mask`` marks real actions
+    (padding gets a zero correction).  Each relation's mass is one
+    ``np.bincount`` over ``(row, relation)`` keys, which adds in action
+    order, so a row matches a per-action dict accumulation bit for bit.
+
+    ``log p(edge) = log p(relation) + log p(edge | relation)`` is expressed
+    as a correction added to the base log-probs, so gradients still flow
+    through the policy network.
+    """
+    batch, width = probabilities.shape
+    rows = np.broadcast_to(np.arange(batch)[:, None], (batch, width))
+    span = int(relations[mask].max()) + 1 if mask.any() else 1
+    keys = rows * span + relations
+    mass = np.bincount(keys[mask], weights=probabilities[mask], minlength=batch * span)[keys]
+    corrections = (
+        np.log(mass + _EPS)
+        - np.log(probabilities + _EPS)
+        + np.log(probabilities / (mass + _EPS) + _EPS)
+    )
+    return np.where(mask, corrections, 0.0)
 
 
 class HierarchicalAgent(MMKGRAgent):
@@ -37,30 +65,11 @@ class HierarchicalAgent(MMKGRAgent):
     The final log-probability of an edge factorises as
     ``log p(relation | state) + log p(edge | relation, state)``; both factors
     are computed from the same policy head scores, so no extra parameters are
-    needed beyond the base agent.
+    needed beyond the base agent.  Every rollout and beam search applies
+    :func:`relation_level_correction` after the policy.
     """
 
-    def action_log_probs(
-        self, state: EpisodeState, actions: Sequence[Tuple[int, int]]
-    ) -> Tensor:
-        base_log_probs = super().action_log_probs(state, actions)
-        relations = np.asarray([relation for relation, _ in actions])
-        probs = np.exp(base_log_probs.data)
-        # High-level distribution over distinct relations.
-        relation_mass: Dict[int, float] = {}
-        for relation, prob in zip(relations, probs):
-            relation_mass[relation] = relation_mass.get(relation, 0.0) + float(prob)
-        # log p(edge) = log p(relation) + log p(edge | relation); expressed as
-        # a correction added to the differentiable base log-probs so gradients
-        # still flow through the policy network.
-        corrections = np.array(
-            [
-                np.log(relation_mass[relation] + 1e-12) - np.log(probs[i] + 1e-12)
-                + np.log(probs[i] / (relation_mass[relation] + 1e-12) + 1e-12)
-                for i, relation in enumerate(relations)
-            ]
-        )
-        return base_log_probs + Tensor(corrections)
+    log_prob_correction = staticmethod(relation_level_correction)
 
 
 def _rlh_preset(preset: ExperimentPreset) -> ExperimentPreset:

@@ -59,10 +59,6 @@ class EvaluationConfig:
     beam_width: int = 16
     hits_at: tuple = (1, 5, 10)
     max_queries: Optional[int] = None
-    # Walk all evaluation queries in lockstep through the batched beam-search
-    # engine (the serving fast path); False forces one scalar beam search per
-    # query.  Agents the engine cannot batch fall back to scalar either way.
-    vectorized: bool = True
     # Queries per lockstep engine call; bounds the live-branch working set
     # (~batch_size * beam_width branches) when evaluating large query grids
     # such as relation MAP's (triple x candidate relation) flattening.

@@ -29,6 +29,15 @@ from repro.rl.rewards import RewardConfig
 
 PathLike = Union[str, Path]
 
+# Keys that presets written by earlier versions carry for settings since
+# removed (the scalar rollout/evaluation switches and an unused entropy
+# weight).  They are dropped on load; any other unknown key still raises.
+_RETIRED_KEYS = {
+    "reinforce": ("vectorized", "entropy_weight"),
+    "imitation": ("vectorized",),
+    "evaluation": ("vectorized",),
+}
+
 
 # --------------------------------------------------------------------- presets
 def preset_to_dict(preset: ExperimentPreset) -> Dict[str, object]:
@@ -43,6 +52,11 @@ def preset_to_dict(preset: ExperimentPreset) -> Dict[str, object]:
 def preset_from_dict(payload: Dict[str, object]) -> ExperimentPreset:
     """Rebuild an :class:`ExperimentPreset` from :func:`preset_to_dict` output."""
     data = dict(payload)
+    for section, keys in _RETIRED_KEYS.items():
+        if section in data:
+            data[section] = {
+                key: value for key, value in data[section].items() if key not in keys
+            }
     model = dict(data.pop("model"))
     model["fusion_variant"] = FusionVariant(model.get("fusion_variant", "full"))
     evaluation = dict(data.pop("evaluation"))

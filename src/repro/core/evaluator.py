@@ -13,15 +13,13 @@
 
 All three protocols consume plain :class:`~repro.rl.rollout.BeamSearchResult`
 objects and draw them from :func:`beam_search_results`, which walks every
-query of a protocol in lockstep through the vectorized
-:class:`~repro.serve.engine.BatchBeamSearch` when the agent supports it
-(``EvaluationConfig.vectorized``, the default) and falls back to one scalar
-:func:`~repro.rl.rollout.beam_search` per query otherwise.  Relation MAP
-flattens its (triple x candidate relation) grid into one large query batch,
-which is what removes evaluation from the critical path of every experiment:
-the scalar protocol ran one beam search per *pair*.  Both paths produce
-byte-identical metric dictionaries under the same seed — rankings break
-score ties deterministically by ascending id, never by traversal order.
+query of a protocol in lockstep through
+:class:`~repro.serve.engine.BatchBeamSearch` — the same engine serving runs.
+Relation MAP flattens its (triple x candidate relation) grid into large query
+batches rather than one beam search per *pair*.  Rankings break score ties
+deterministically by ascending id, never by traversal order, so the metrics
+equal those of the per-query reference :func:`~repro.rl.rollout.beam_search`
+byte for byte (``tests/core/test_evaluator.py``).
 """
 
 from __future__ import annotations
@@ -32,58 +30,45 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import EvaluationConfig
+from repro.core.model import MMKGRAgent
 from repro.kg.graph import KnowledgeGraph, Triple
 from repro.rl.environment import MKGEnvironment, Query
-from repro.rl.rollout import BeamSearchResult, ReasoningAgent, beam_search
+from repro.rl.rollout import BeamSearchResult
 from repro.utils.metrics import RankingResult, average_precision
 from repro.utils.rng import SeedLike, new_rng
 
 
 def beam_search_results(
-    agent: ReasoningAgent,
+    agent: MMKGRAgent,
     environment: MKGEnvironment,
     queries: Sequence[Query],
     config: Optional[EvaluationConfig] = None,
     cache=None,
 ) -> List[BeamSearchResult]:
-    """Beam-search every query, batched in lockstep when the agent allows it.
+    """Beam-search every query in lockstep; one result per query, in order.
 
-    The shared beam-result provider of every evaluation protocol: with
-    ``config.vectorized`` (the default) and an agent the serving engine can
-    drive, queries run through :class:`~repro.serve.engine.BatchBeamSearch`
-    in chunks of ``config.batch_size``; otherwise — protocol-only agents, or
-    ``vectorized=False`` — each query runs one scalar
-    :func:`~repro.rl.rollout.beam_search`.  Both paths return one
-    :class:`~repro.rl.rollout.BeamSearchResult` per query, in query order.
-
-    ``cache`` optionally reuses a warm
-    :class:`~repro.serve.cache.ActionSpaceCache` (e.g. a serving reasoner's)
-    on the vectorized path.
+    The shared beam-result provider of every evaluation protocol: queries run
+    through :class:`~repro.serve.engine.BatchBeamSearch` in chunks of
+    ``config.batch_size``.  ``cache`` optionally reuses a warm
+    :class:`~repro.serve.cache.ActionSpaceCache` (e.g. a serving
+    reasoner's).  Raises ``TypeError`` for agents that are not an
+    :class:`~repro.core.model.MMKGRAgent`.
     """
-    config = config or EvaluationConfig()
-    queries = list(queries)
-    if not queries:
-        return []
-    # Imported lazily: repro.serve.engine imports repro.core.model, which
-    # would cycle back through repro.core's package initialisation.
+    # Imported lazily: repro.serve's package initialisation imports the
+    # reasoner, which imports this module.
     from repro.serve.engine import BatchBeamSearch
 
-    if config.vectorized and BatchBeamSearch.supports(agent):
-        engine = BatchBeamSearch(
-            agent, environment, cache=cache, beam_width=config.beam_width
-        )
-        results: List[BeamSearchResult] = []
-        for start in range(0, len(queries), config.batch_size):
-            results.extend(engine.run(queries[start : start + config.batch_size]))
-        return results
-    return [
-        beam_search(agent, environment, query, beam_width=config.beam_width)
-        for query in queries
-    ]
+    config = config or EvaluationConfig()
+    engine = BatchBeamSearch(agent, environment, cache=cache, beam_width=config.beam_width)
+    queries = list(queries)
+    results: List[BeamSearchResult] = []
+    for start in range(0, len(queries), config.batch_size):
+        results.extend(engine.run(queries[start : start + config.batch_size]))
+    return results
 
 
 def evaluate_entity_prediction(
-    agent: ReasoningAgent,
+    agent: MMKGRAgent,
     environment: MKGEnvironment,
     test_triples: Sequence[Triple],
     filter_graph: Optional[KnowledgeGraph] = None,
@@ -106,7 +91,7 @@ def evaluate_entity_prediction(
 
 
 def evaluate_relation_prediction(
-    agent: ReasoningAgent,
+    agent: MMKGRAgent,
     environment: MKGEnvironment,
     test_triples: Sequence[Triple],
     candidate_relations: Optional[Sequence[int]] = None,
@@ -142,7 +127,10 @@ def evaluate_relation_prediction(
     # test triples the protocol covers.  One shared action-space cache spans
     # every chunk — the grid revisits the same heads under every candidate
     # relation, so a per-chunk cache would rebuild the same action matrices.
-    cache = cache or _action_cache_for(agent, environment, config)
+    if cache is None:
+        from repro.serve.engine import BatchBeamSearch
+
+        cache = BatchBeamSearch.build_cache(agent, environment)
     rows_per_chunk = max(1, config.batch_size // max(1, grid))
     for chunk_start in range(0, len(triples), rows_per_chunk):
         chunk = triples[chunk_start : chunk_start + rows_per_chunk]
@@ -175,7 +163,7 @@ def evaluate_relation_prediction(
 
 
 def hop_distribution(
-    agent: ReasoningAgent,
+    agent: MMKGRAgent,
     environment: MKGEnvironment,
     test_triples: Sequence[Triple],
     filter_graph: Optional[KnowledgeGraph] = None,
@@ -227,15 +215,6 @@ def hop_distribution(
         distribution[key] = counts[hops] / successes if successes else 0.0
     distribution["success_count"] = float(successes)
     return distribution
-
-
-def _action_cache_for(agent, environment, config):
-    """A fresh action-space cache, or ``None`` when no engine will use one."""
-    from repro.serve.engine import BatchBeamSearch
-
-    if not (config.vectorized and BatchBeamSearch.supports(agent)):
-        return None
-    return BatchBeamSearch.build_cache(agent, environment)
 
 
 def _forward_relations(graph: KnowledgeGraph) -> List[int]:

@@ -7,10 +7,9 @@ scale knobs live in the :class:`ExperimentPreset` so that tests, benches and
 full runs only differ in the preset they pass.
 
 The evaluation protocols behind Tables III/IV and Figs. 6-7 walk their test
-queries in lockstep through the vectorized batched beam-search engine
-(``preset.evaluation.vectorized``, default True; see
-:mod:`repro.core.evaluator`), so regenerating the tables is no longer
-dominated by per-query beam-search dispatch.
+queries in lockstep through the batched beam-search engine (see
+:mod:`repro.core.evaluator`), so regenerating the tables is not dominated by
+per-query beam-search dispatch.
 """
 
 from __future__ import annotations

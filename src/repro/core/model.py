@@ -1,7 +1,7 @@
 """The MMKGR agent: unified gate-attention fusion + feature-aware policy.
 
-This module wires the paper's two components together into a single
-``ReasoningAgent`` (the protocol consumed by rollouts and REINFORCE):
+This module wires the paper's two components together into the single agent
+that training, evaluation and serving drive through their batched engines:
 
 * per-step feature extraction from a :class:`FeatureStore` (structural TransE
   embeddings + modality features) and the LSTM path-history encoder;
@@ -30,6 +30,12 @@ from repro.utils.rng import SeedLike, new_rng
 
 class MMKGRAgent(Module):
     """Multi-hop multi-modal reasoning agent."""
+
+    # Optional ``(probabilities, relations, mask) -> corrections`` over
+    # ``(B, n)`` action matrices, added to the policy's log-probs by every
+    # rollout and beam search (e.g. RLH's relation level).  A class-level
+    # choice: ``None`` leaves Eq. 17's distribution as it is.
+    log_prob_correction = None
 
     def __init__(
         self,
@@ -137,7 +143,14 @@ class MMKGRAgent(Module):
         action_matrix = stack_action_embeddings(
             actions, self.features.relation_embeddings, self.features.entity_embeddings
         )
-        return self.policy(fused, action_matrix)
+        log_probs = self.policy(fused, action_matrix)
+        if self.log_prob_correction is None:
+            return log_probs
+        relations = np.array([[relation for relation, _ in actions]], dtype=np.intp)
+        corrections = self.log_prob_correction(
+            np.exp(log_probs.data)[None], relations, np.ones(relations.shape, dtype=bool)
+        )
+        return log_probs + Tensor(corrections[0])
 
     def action_probabilities(
         self, state: EpisodeState, actions: Sequence[Tuple[int, int]]

@@ -20,7 +20,7 @@ as the one-call train+evaluate shim the experiment tables use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import EvaluationConfig, ExperimentPreset, fast_preset
@@ -193,51 +193,27 @@ class MMKGRPipeline:
         self.agent = MMKGRAgent(self.features, config=self.preset.model, rng=self.rng)
         return self.agent
 
-    def warm_start(
-        self, verbose: bool = False, vectorized: Optional[bool] = None
-    ) -> List[float]:
-        """Stage 4a: supervised path-imitation warm start (shared by all RL models).
-
-        ``vectorized`` overrides ``preset.imitation.vectorized`` for this run,
-        mirroring :meth:`train`.
-        """
+    def warm_start(self, verbose: bool = False) -> List[float]:
+        """Stage 4a: supervised path-imitation warm start (shared by all RL models)."""
         if self.agent is None:
             self.build()
         if self.preset.imitation.epochs == 0:
             return []
-        imitation_config = self.preset.imitation
-        if vectorized is not None and vectorized != imitation_config.vectorized:
-            imitation_config = replace(imitation_config, vectorized=vectorized)
         trainer = ImitationTrainer(
-            self.agent, self.environment, config=imitation_config, rng=self.rng
+            self.agent, self.environment, config=self.preset.imitation, rng=self.rng
         )
         return trainer.fit(self.dataset.splits.train, verbose=verbose)
 
-    def train(
-        self,
-        verbose: bool = False,
-        epoch_callback=None,
-        vectorized: Optional[bool] = None,
-    ) -> TrainingHistory:
-        """Stage 4: imitation warm start followed by REINFORCE fine-tuning.
-
-        ``vectorized`` overrides the preset's ``reinforce.vectorized`` and
-        ``imitation.vectorized`` for this run: ``True``/``False`` select the
-        lockstep batched rollout engine or the scalar per-query loop for both
-        training stages, ``None`` keeps the preset's choice.  Agents the
-        engine cannot batch fall back to the scalar loop either way.
-        """
+    def train(self, verbose: bool = False, epoch_callback=None) -> TrainingHistory:
+        """Stage 4: imitation warm start followed by REINFORCE fine-tuning."""
         if self.agent is None:
             self.build()
-        self.warm_start(verbose=verbose, vectorized=vectorized)
-        reinforce_config = self.preset.reinforce
-        if vectorized is not None and vectorized != reinforce_config.vectorized:
-            reinforce_config = replace(reinforce_config, vectorized=vectorized)
+        self.warm_start(verbose=verbose)
         trainer = ReinforceTrainer(
             self.agent,
             self.environment,
             self.reward,
-            config=reinforce_config,
+            config=self.preset.reinforce,
             rng=self.rng,
         )
         return trainer.fit(
@@ -295,24 +271,16 @@ class MMKGRPipeline:
         evaluate_relations: bool = False,
         test_triples: Optional[Sequence[Triple]] = None,
         verbose: bool = False,
-        vectorized: Optional[bool] = None,
-        evaluation: Optional[EvaluationConfig] = None,
     ) -> PipelineResult:
-        """Full pipeline: pretrain, train, and evaluate on the test split.
-
-        ``evaluation`` overrides ``preset.evaluation`` for this run only
-        (e.g. the CLI's ``--scalar-eval``), without touching the preset a
-        later checkpoint would persist.
-        """
-        history = self.train(verbose=verbose, vectorized=vectorized)
+        """Full pipeline: pretrain, train, and evaluate on the test split."""
+        history = self.train(verbose=verbose)
         test = list(test_triples) if test_triples is not None else self.dataset.splits.test
-        evaluation = evaluation or self.preset.evaluation
         entity_metrics = evaluate_entity_prediction(
             self.agent,
             self.environment,
             test,
             filter_graph=self.dataset.graph,
-            config=evaluation,
+            config=self.preset.evaluation,
             rng=self.rng,
         )
         relation_metrics: Dict[str, float] = {}
@@ -321,7 +289,7 @@ class MMKGRPipeline:
                 self.agent,
                 self.environment,
                 test,
-                config=evaluation,
+                config=self.preset.evaluation,
                 rng=self.rng,
             )
         if verbose:

@@ -9,7 +9,7 @@ output of a trained agent into that human-readable provenance:
 * :mod:`repro.explain.paths` — symbolic reasoning paths with entity/relation
   names, hop counts, and scores;
 * :mod:`repro.explain.explainer` — per-query explanations (top predictions and
-  the paths supporting them) produced from any trained ``ReasoningAgent``;
+  the paths supporting them) produced from any trained ``MMKGRAgent``;
 * :mod:`repro.explain.rules` — aggregation of the relation-path signatures the
   agent actually uses into weighted inference rules with support/confidence;
 * :mod:`repro.explain.report` — a report object combining explanations and

@@ -3,9 +3,10 @@
 The explainer replays the agent's beam search for a query and packages the
 result as an :class:`Explanation`: the ranked predictions, whether the gold
 answer was ranked first, and the symbolic path supporting every prediction.
-It works with any object implementing the ``ReasoningAgent`` protocol (the
-MMKGR agent, its ablations, and the RL baselines), so the same provenance can
-be compared across models.
+Queries run in lockstep through the same batched beam search as evaluation
+and serving, for every :class:`~repro.core.model.MMKGRAgent` (the MMKGR
+agent, its ablations, and the RL baselines), so the same provenance can be
+compared across models.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.config import EvaluationConfig
+from repro.core.evaluator import beam_search_results
+from repro.core.model import MMKGRAgent
 from repro.explain.paths import ReasoningPath, paths_from_beam
 from repro.kg.graph import KnowledgeGraph, Triple
 from repro.rl.environment import MKGEnvironment, Query
-from repro.rl.rollout import ReasoningAgent, beam_search
+from repro.rl.rollout import BeamSearchResult
 from repro.utils.rng import SeedLike, new_rng
 
 QueryLike = Union[Query, Triple]
@@ -95,7 +98,7 @@ class Explainer:
 
     def __init__(
         self,
-        agent: ReasoningAgent,
+        agent: MMKGRAgent,
         environment: MKGEnvironment,
         graph: Optional[KnowledgeGraph] = None,
         beam_width: int = 8,
@@ -110,14 +113,30 @@ class Explainer:
         self.graph = graph or environment.graph
         self.beam_width = beam_width
         self.top_k = top_k
+        # Imported here: repro.serve's package initialisation imports
+        # repro.explain.
+        from repro.serve.engine import BatchBeamSearch
+
+        self._cache = BatchBeamSearch.build_cache(agent, environment)
 
     # ----------------------------------------------------------------- single
     def explain(self, query: QueryLike) -> Explanation:
         """Explain one query (a :class:`Query` or a test :class:`Triple`)."""
-        query = _as_query(query)
-        search = beam_search(
-            self.agent, self.environment, query, beam_width=self.beam_width
+        (explanation,) = self._explain([_as_query(query)])
+        return explanation
+
+    def _explain(self, queries: List[Query]) -> List[Explanation]:
+        """Beam-search ``queries`` in lockstep and package every result."""
+        searches = beam_search_results(
+            self.agent,
+            self.environment,
+            queries,
+            EvaluationConfig(beam_width=self.beam_width),
+            cache=self._cache,
         )
+        return [self._explanation(query, search) for query, search in zip(queries, searches)]
+
+    def _explanation(self, query: Query, search: BeamSearchResult) -> Explanation:
         paths = paths_from_beam(
             self.graph,
             query,
@@ -148,7 +167,7 @@ class Explainer:
             generator = new_rng(rng if rng is not None else 0)
             indices = generator.choice(len(items), size=max_queries, replace=False)
             items = [items[i] for i in sorted(indices)]
-        return [self.explain(query) for query in items]
+        return self._explain(items)
 
 
 def explain_pipeline(

@@ -1,22 +1,21 @@
-"""Vectorized REINFORCE rollouts: a mini-batch of episodes in lockstep.
+"""REINFORCE rollouts and teacher forcing: a mini-batch of episodes in lockstep.
 
-:func:`repro.rl.rollout.sample_episode` walks one query at a time, so every
-step pays a full per-query fusion/policy/LSTM forward on ``(1, d)`` tensors —
-the same per-op dispatch overhead the serving engine eliminated for beam
-search.  :class:`BatchedRolloutEngine` advances *all* queries of a training
-mini-batch depth-by-depth instead:
+:class:`BatchedRolloutEngine` is the only episode sampler training uses.  It
+advances *all* queries of a training mini-batch depth-by-depth:
 
 * one call of the agent's fuser per step with the live ``(B, hidden)``
   history Tensor, so the fuser traces its forward and gradients flow into
   the fuser weights and through the history into the LSTM;
 * one masked policy evaluation per step over padded per-query action spaces
   (:class:`repro.rl.policy.PolicyNetwork` with
-  :func:`repro.rl.policy.pad_action_matrices`);
+  :func:`repro.rl.policy.pad_action_matrices`), followed by the agent
+  class's ``log_prob_correction`` when it has one (RLH's relation level);
 * one batched ``LSTMCell`` call per step folding every query's chosen edge
   into its path history.
 
 These are the same modules, with the same single forward, that the serving
-engine runs on ndarrays and that the per-query path runs as a batch of one.
+engine runs on ndarrays and that the per-query reference
+:func:`repro.rl.rollout.sample_episode` runs as a batch of one.
 
 Per-query termination is honoured: finished episodes drop out of the batch
 while the rest keep walking, so environments that stop early stay supported.
@@ -25,16 +24,13 @@ RNG contract
 ------------
 Each episode draws from its **own** child generator, spawned in episode order
 from one parent stream (:func:`repro.utils.rng.spawn_rngs`).  Lockstep
-execution interleaves draws *across* episodes (step-major) while the scalar
-loop drains each episode in turn (episode-major); with a single shared stream
-the two orders would consume different numbers and silently diverge.  Spawned
-child streams make the draw order irrelevant: the scalar loop and the batched
-engine produce identical episodes from the same parent seed, which is exactly
-what ``tests/rl/test_batched_rollout.py`` asserts.
-
-Agents that override ``action_log_probs`` (e.g. the hierarchical RLH agent)
-are reported as unsupported via :meth:`BatchedRolloutEngine.supports`; the
-trainer falls back to the scalar loop for them.
+execution interleaves draws *across* episodes (step-major) while the
+reference loop drains each episode in turn (episode-major); with a single
+shared stream the two orders would consume different numbers and silently
+diverge.  Spawned child streams make the draw order irrelevant: the
+reference loop and the batched engine produce identical episodes from the
+same parent seed, which is exactly what ``tests/rl/test_batched_rollout.py``
+asserts.
 """
 
 from __future__ import annotations
@@ -45,8 +41,11 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 from repro.rl.environment import MKGEnvironment, Query
-from repro.rl.history import PathHistoryEncoder
-from repro.rl.policy import pad_action_matrices, stack_action_embeddings
+from repro.rl.policy import (
+    pad_action_matrices,
+    padded_relation_ids,
+    stack_action_embeddings,
+)
 from repro.rl.rollout import SampledEpisode
 from repro.utils.rng import SeedLike, spawn_rngs
 
@@ -55,31 +54,16 @@ class BatchedRolloutEngine:
     """Samples REINFORCE episodes for a batch of queries in lockstep."""
 
     def __init__(self, agent, environment: MKGEnvironment):
-        if not self.supports(agent):
-            raise ValueError(
-                "agent does not support batched rollouts; use sample_episode "
-                "per query instead (custom action_log_probs)"
-            )
-        self.agent = agent
-        self.environment = environment
-
-    @staticmethod
-    def supports(agent) -> bool:
-        """Whether ``agent`` runs the stock scoring pipeline batchable here.
-
-        Mirrors the serving engine's fast-path check: the agent must score
-        actions with the unmodified ``MMKGRAgent.action_log_probs`` and keep
-        its history in a :class:`PathHistoryEncoder`.  Every fuser batches.
-        """
         # Imported here: repro.core.model pulls in repro.core.config, which
         # imports back into repro.rl during package initialisation.
         from repro.core.model import MMKGRAgent
 
-        return (
-            isinstance(agent, MMKGRAgent)
-            and type(agent).action_log_probs is MMKGRAgent.action_log_probs
-            and isinstance(agent.history_encoder, PathHistoryEncoder)
-        )
+        if not isinstance(agent, MMKGRAgent):
+            raise TypeError(
+                f"batched rollouts need an MMKGRAgent, got {type(agent).__name__}"
+            )
+        self.agent = agent
+        self.environment = environment
 
     # ---------------------------------------------------------------- helpers
     def _seed_history(self, sources: np.ndarray):
@@ -108,7 +92,13 @@ class BatchedRolloutEngine:
         fused = agent.fuser(
             agent.fusion_inputs(sources[active], currents, relations[active], hidden)
         )
-        return agent.policy(fused, padded, mask)
+        log_probs = agent.policy(fused, padded, mask)
+        if agent.log_prob_correction is None:
+            return log_probs
+        corrections = agent.log_prob_correction(
+            np.exp(log_probs.data), padded_relation_ids(action_lists, mask), mask
+        )
+        return log_probs + Tensor(corrections)
 
     def _advance_history(self, chosen, hidden, cell):
         """Batched observe_step(): fold every row's chosen edge into its history."""
@@ -129,10 +119,10 @@ class BatchedRolloutEngine:
         """Roll out one episode per query, all queries advanced in lockstep.
 
         ``rngs`` supplies one child generator per episode (the trainer spawns
-        them so its scalar fallback consumes identical streams); when omitted
-        they are spawned here from ``rng``.  Episode ``i`` is sampled exactly
-        as ``sample_episode(agent, environment, queries[i], rng=rngs[i])``
-        would sample it, including the log-prob tensors needed for REINFORCE.
+        them from its own generator); when omitted they are spawned here from
+        ``rng``.  Episode ``i`` is sampled exactly as
+        ``sample_episode(agent, environment, queries[i], rng=rngs[i])`` would
+        sample it, including the log-prob tensors needed for REINFORCE.
         """
         queries = list(queries)
         if not queries:
@@ -193,11 +183,9 @@ class BatchedRolloutEngine:
         ``demonstrations`` is a sequence of ``(query, path)`` pairs where
         ``path`` is the (already padded) list of gold ``(relation, entity)``
         actions.  Returns one list of log-prob tensors per demonstration, in
-        step order — exactly what the scalar loop in
-        :meth:`repro.rl.imitation.ImitationTrainer._train_batch` produces.  A
-        demonstration stops contributing as soon as its gold action is absent
-        from the action space (a pruned edge), its path is exhausted, or its
-        episode is terminal, mirroring the scalar control flow.
+        step order.  A demonstration stops contributing as soon as its gold
+        action is absent from the action space (a pruned edge), its path is
+        exhausted, or its episode is terminal.
         """
         demonstrations = list(demonstrations)
         if not demonstrations:

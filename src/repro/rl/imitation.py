@@ -18,16 +18,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.kg.graph import KnowledgeGraph, Triple
 from repro.nn import Adam, clip_grad_norm
-from repro.nn.layers import Module
 from repro.rl.batched_rollout import BatchedRolloutEngine
 from repro.rl.environment import MKGEnvironment, Query
-from repro.rl.rollout import ReasoningAgent
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, new_rng
+
+if TYPE_CHECKING:
+    from repro.core.model import MMKGRAgent
 
 LOGGER = get_logger("rl.imitation")
 
@@ -42,9 +43,6 @@ class ImitationConfig:
     grad_clip: float = 5.0
     max_demonstrations: Optional[int] = None
     seed: int = 23
-    # Teacher-force whole mini-batches through the lockstep BatchedRolloutEngine
-    # when the agent supports it; False forces the per-demonstration loop.
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -95,30 +93,21 @@ def find_demonstration_path(
 
 
 class ImitationTrainer:
-    """Teacher-forcing trainer over demonstration paths."""
+    """Teacher-forcing trainer of an :class:`~repro.core.model.MMKGRAgent`."""
 
     def __init__(
         self,
-        agent: ReasoningAgent,
+        agent: MMKGRAgent,
         environment: MKGEnvironment,
         config: Optional[ImitationConfig] = None,
         rng: SeedLike = None,
     ):
-        if not isinstance(agent, Module):
-            raise TypeError("the agent must be an nn.Module to expose trainable parameters")
+        self._engine = BatchedRolloutEngine(agent, environment)
         self.agent = agent
         self.environment = environment
         self.config = config or ImitationConfig()
         self.rng = new_rng(self.config.seed if rng is None else rng)
         self.optimizer = Adam(agent.parameters(), lr=self.config.learning_rate)
-        self._engine: Optional[BatchedRolloutEngine] = None
-        if self.config.vectorized and BatchedRolloutEngine.supports(agent):
-            self._engine = BatchedRolloutEngine(agent, environment)
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether demonstration batches are teacher-forced through the engine."""
-        return self._engine is not None
 
     # ------------------------------------------------------------ demonstrations
     def collect_demonstrations(
@@ -187,31 +176,12 @@ class ImitationTrainer:
 
     def _train_batch(self, batch) -> float:
         self.optimizer.zero_grad()
-        losses = []
-        if self._engine is not None:
-            per_demonstration = self._engine.teacher_force(
-                [(query, self._padded_path(query, path)) for query, path in batch]
-            )
-            losses = [
-                -log_prob for step_log_probs in per_demonstration for log_prob in step_log_probs
-            ]
-        else:
-            for query, path in batch:
-                state = self.environment.reset(query)
-                self.agent.begin_episode(query)
-                for gold_action in self._padded_path(query, path):
-                    actions = self.environment.available_actions(state)
-                    try:
-                        gold_index = actions.index(gold_action)
-                    except ValueError:
-                        break  # the demonstration stepped through a pruned edge
-                    log_probs = self.agent.action_log_probs(state, actions)
-                    losses.append(-log_probs[gold_index])
-                    relation, entity = gold_action
-                    self.agent.observe_step(relation, entity)
-                    state = self.environment.step(state, gold_action)
-                    if self.environment.is_terminal(state):
-                        break
+        per_demonstration = self._engine.teacher_force(
+            [(query, self._padded_path(query, path)) for query, path in batch]
+        )
+        losses = [
+            -log_prob for step_log_probs in per_demonstration for log_prob in step_log_probs
+        ]
         if not losses:
             return 0.0
         loss = losses[0]

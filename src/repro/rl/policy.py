@@ -132,3 +132,12 @@ def pad_action_matrices(
     embeddings = np.zeros(mask.shape + rows.shape[1:])
     embeddings[mask] = rows  # row-major fill keeps each query's action order
     return embeddings, mask
+
+
+def padded_relation_ids(
+    action_lists: Sequence[Sequence[Tuple[int, int]]], mask: np.ndarray
+) -> np.ndarray:
+    """``(B, n_max)`` relation ids laid out like :func:`pad_action_matrices`'s mask."""
+    relations = np.zeros(mask.shape, dtype=np.intp)
+    relations[mask] = [relation for actions in action_lists for relation, _ in actions]
+    return relations

@@ -8,29 +8,29 @@ training graph; its gradient is estimated with the likelihood-ratio trick
 with a moving-average baseline subtracted from the reward to reduce variance
 (a standard addition that does not change the expectation of the gradient).
 
-Episode sampling runs through :class:`repro.rl.batched_rollout.BatchedRolloutEngine`
-by default (``ReinforceConfig.vectorized``), which rolls out the whole
-mini-batch in lockstep with batched fusion/policy/LSTM forwards.  Agents the
-engine cannot batch (a custom ``action_log_probs`` — e.g. the hierarchical
-RLH baseline) automatically fall back to the scalar
-``sample_episode`` loop, as does ``vectorized=False``.  Both paths draw each
-episode from its own child RNG stream spawned in episode order from the
-trainer's generator, so they produce identical episodes under the same seed.
+Episodes are sampled by :class:`repro.rl.batched_rollout.BatchedRolloutEngine`,
+which rolls out the whole mini-batch in lockstep with batched
+fusion/policy/LSTM forwards, for every agent (the RLH baseline included).
+Each episode draws from its own child RNG stream spawned in episode order
+from the trainer's generator, so the per-query reference
+:func:`repro.rl.rollout.sample_episode` walks identical episodes under the
+same seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.kg.graph import Triple
 from repro.nn import Adam, clip_grad_norm
-from repro.nn.layers import Module
 from repro.rl.batched_rollout import BatchedRolloutEngine
 from repro.rl.environment import MKGEnvironment, Query
-from repro.rl.rollout import ReasoningAgent, sample_episode
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, new_rng, spawn_rngs
+
+if TYPE_CHECKING:
+    from repro.core.model import MMKGRAgent
 
 LOGGER = get_logger("rl.reinforce")
 
@@ -46,12 +46,8 @@ class ReinforceConfig:
     learning_rate: float = 1e-3
     rollouts_per_query: int = 1
     baseline_decay: float = 0.95
-    entropy_weight: float = 0.0
     grad_clip: float = 5.0
     seed: int = 11
-    # Sample each mini-batch with the lockstep BatchedRolloutEngine when the
-    # agent supports it; False forces the scalar per-query loop.
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -80,18 +76,17 @@ class TrainingHistory:
 
 
 class ReinforceTrainer:
-    """Trains any :class:`ReasoningAgent` that is also an ``nn.Module``."""
+    """Trains an :class:`~repro.core.model.MMKGRAgent` (RL baselines included)."""
 
     def __init__(
         self,
-        agent: ReasoningAgent,
+        agent: MMKGRAgent,
         environment: MKGEnvironment,
         reward_fn: RewardFunction,
         config: Optional[ReinforceConfig] = None,
         rng: SeedLike = None,
     ):
-        if not isinstance(agent, Module):
-            raise TypeError("the agent must be an nn.Module to expose trainable parameters")
+        self._engine = BatchedRolloutEngine(agent, environment)
         self.agent = agent
         self.environment = environment
         self.reward_fn = reward_fn
@@ -99,14 +94,6 @@ class ReinforceTrainer:
         self.rng = new_rng(self.config.seed if rng is None else rng)
         self.optimizer = Adam(agent.parameters(), lr=self.config.learning_rate)
         self._baseline = 0.0
-        self._engine: Optional[BatchedRolloutEngine] = None
-        if self.config.vectorized and BatchedRolloutEngine.supports(agent):
-            self._engine = BatchedRolloutEngine(agent, environment)
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether mini-batches are sampled through the lockstep engine."""
-        return self._engine is not None
 
     # ------------------------------------------------------------------ train
     def fit(
@@ -151,25 +138,21 @@ class ReinforceTrainer:
         return history
 
     def _sample_batch(self, batch: Sequence[Query]) -> List:
-        """One episode per (query, rollout), identical across both paths.
+        """One episode per (query, rollout), sampled in lockstep.
 
         The queries are expanded rollout-by-rollout and each episode gets its
         own child RNG stream, spawned in episode order from the trainer's
         generator.  Because the streams (not the order of consumption) carry
-        the randomness, the lockstep engine and the scalar loop sample
+        the randomness, the reference ``sample_episode`` loop samples
         *identical* episodes from the same trainer seed — the seed-parity
         property guarded by ``tests/rl/test_batched_rollout.py``.
         """
         expanded = [
             query for query in batch for _ in range(self.config.rollouts_per_query)
         ]
-        rngs = spawn_rngs(self.rng, len(expanded))
-        if self._engine is not None:
-            return self._engine.sample_episodes(expanded, rngs=rngs)
-        return [
-            sample_episode(self.agent, self.environment, query, rng=episode_rng)
-            for query, episode_rng in zip(expanded, rngs)
-        ]
+        return self._engine.sample_episodes(
+            expanded, rngs=spawn_rngs(self.rng, len(expanded))
+        )
 
     def _train_batch(self, batch: Sequence[Query]) -> tuple:
         """One optimisation step over a batch of queries."""

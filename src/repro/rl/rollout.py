@@ -1,8 +1,13 @@
-"""Episode rollouts: stochastic sampling for training, beam search for inference.
+"""Per-query reference rollouts: stochastic sampling and beam search.
 
-Both functions are written against a small ``ReasoningAgent`` protocol (the
-MMKGR model and every RL baseline implement it) so that the same rollout and
-evaluation machinery can be reused across models.
+:func:`sample_episode` and :func:`beam_search` walk one query at a time
+through the small ``ReasoningAgent`` protocol.  No production path calls
+them: training samples through
+:class:`~repro.rl.batched_rollout.BatchedRolloutEngine` and evaluation,
+serving and explanation search through
+:class:`~repro.serve.engine.BatchBeamSearch`.  They are the plain-loop
+reference that the parity suites and the speedup benchmarks compare those
+engines against.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Serving layer: train once, query many times.
 
-The experiment-oriented entry points (:class:`~repro.core.trainer.
-MMKGRPipeline`, :func:`~repro.baselines.registry.run_baseline`) fuse training
-and evaluation into one call and discard the trained model.  This package
-introduces the query/serving API the reproduction's north star needs:
+The experiment-oriented entry point (:meth:`~repro.core.trainer.
+MMKGRPipeline.run`) fuses training and evaluation into one call.  This
+package is the query/serving API on top of the trained models:
 
 * :class:`ReasonerProtocol` — the ``fit`` / ``query`` / ``query_batch`` /
   ``save`` contract every reasoner implements;

@@ -1,11 +1,9 @@
 """Vectorized lockstep beam search across many queries.
 
-The evaluation-time :func:`repro.rl.rollout.beam_search` answers one query at
-a time: every branch expansion runs its own fusion, policy, and LSTM forward
-pass on ``(1, d)``-shaped tensors, so the cost is dominated by per-op NumPy
-dispatch overhead rather than arithmetic.  This engine advances *all* queries
-of a batch depth-by-depth and calls the agent's own modules on ``(B, ...)``
-ndarrays, which run their single forward as untraced NumPy:
+:class:`BatchBeamSearch` is the only beam search evaluation, serving and
+explanation run.  It advances *all* queries of a batch depth-by-depth and
+calls the agent's own modules on ``(B, ...)`` ndarrays, which run their
+single forward as untraced NumPy:
 
 * the fuser produces every branch's complementary features in one call,
   whichever fusion variant the agent uses;
@@ -14,20 +12,20 @@ ndarrays, which run their single forward as untraced NumPy:
   per-branch dot with the (cached) action matrix;
 * the path-history ``LSTMCell`` folds all surviving expansions in one call.
 
-Agents that override ``action_log_probs`` (e.g. the hierarchical RLH agent)
-are scored per branch through the agent itself, so every ``ReasoningAgent``
-with the stock episode state stays servable — the batch engine is an
-optimisation, not a new contract.
+Agent classes with a ``log_prob_correction`` (the hierarchical RLH agent)
+get it applied once per depth over the padded ``(branches, actions)``
+probability matrix; plain MMKGR agents pay nothing for it.  The engine never
+mutates agent state, so engines on different serving workers can share one
+agent without locking.
 
 :class:`repro.rl.batched_rollout.BatchedRolloutEngine` calls the same
-modules with a Tensor history on the training side; this module keeps only
-the beam-search-specific parts.
+modules with a Tensor history on the training side, and
+:func:`repro.rl.rollout.beam_search` is the per-query reference the parity
+suites compare this engine against.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,28 +33,18 @@ import numpy as np
 
 from repro.core.model import MMKGRAgent
 from repro.nn.functional import softmax as stable_softmax
-from repro.nn.tensor import no_grad
+from repro.nn.tensor import log_softmax_array
 from repro.rl.environment import EpisodeState, MKGEnvironment, Query
-from repro.rl.policy import stack_action_embeddings
+from repro.rl.policy import padded_relation_ids, stack_action_embeddings
 from repro.rl.rollout import BeamSearchResult
 from repro.serve.cache import ActionSpaceCache
 
 _LOG_EPS = 1e-12
 
-# The slow-path scorer mutates transient agent state (current query, LSTM
-# snapshot); engines on different serving workers can share one agent, so
-# each agent gets exactly one lock, held only around slow-path scoring.
-_AGENT_LOCKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_AGENT_LOCKS_GUARD = threading.Lock()
 
-
-def _lock_for(agent) -> threading.Lock:
-    with _AGENT_LOCKS_GUARD:
-        lock = _AGENT_LOCKS.get(agent)
-        if lock is None:
-            lock = threading.Lock()
-            _AGENT_LOCKS[agent] = lock
-        return lock
+def _require_mmkgr_agent(agent) -> None:
+    if not isinstance(agent, MMKGRAgent):
+        raise TypeError(f"beam search needs an MMKGRAgent, got {type(agent).__name__}")
 
 
 @dataclass
@@ -84,14 +72,13 @@ class BatchBeamSearch:
     ):
         if beam_width < 1:
             raise ValueError("beam_width must be >= 1")
+        _require_mmkgr_agent(agent)
         self.agent = agent
         self.environment = environment
         self.beam_width = beam_width
         self.cache = cache or self.build_cache(agent, environment)
         self._lstm = agent.history_encoder.cell
-        # Subclasses that reinterpret action scores (e.g. hierarchical
-        # policies) go through the agent itself, branch by branch.
-        self._fast_policy = type(agent).action_log_probs is MMKGRAgent.action_log_probs
+        self._correction = agent.log_prob_correction
 
     @staticmethod
     def build_cache(
@@ -103,36 +90,13 @@ class BatchBeamSearch:
         ``[relation ; entity]`` action matrices; evaluation and the serving
         reasoner build shared caches through it.
         """
+        _require_mmkgr_agent(agent)
         features = agent.features
         return ActionSpaceCache(
             environment,
             features.relation_embeddings,
             features.entity_embeddings,
             maxsize=maxsize,
-        )
-
-    @staticmethod
-    def supports(agent) -> bool:
-        """Whether the lockstep engine can drive ``agent`` at all.
-
-        Deliberately broader than ``BatchedRolloutEngine.supports``: an agent
-        overriding ``action_log_probs`` (e.g. the hierarchical RLH baseline)
-        still advances through the engine via per-branch slow-path scoring.
-        What the engine cannot relax is the episode-state contract — the
-        stock feature store, the ``(hidden, cell)`` LSTM snapshot layout,
-        and the stock episode bookkeeping it re-implements in lockstep.
-        Protocol-only agents fail this check and must go through the scalar
-        :func:`repro.rl.rollout.beam_search` instead.
-        """
-        from repro.rl.history import PathHistoryEncoder
-
-        return (
-            isinstance(agent, MMKGRAgent)
-            and isinstance(getattr(agent, "history_encoder", None), PathHistoryEncoder)
-            and type(agent).begin_episode is MMKGRAgent.begin_episode
-            and type(agent).observe_step is MMKGRAgent.observe_step
-            and type(agent).snapshot is MMKGRAgent.snapshot
-            and type(agent).restore is MMKGRAgent.restore
         )
 
     # ---------------------------------------------------------------- helpers
@@ -172,21 +136,12 @@ class BatchBeamSearch:
             for i, query in enumerate(queries)
         ]
 
-    def _score_branches(
+    def _probabilities(
         self,
         entries: List[Tuple[int, _Branch, List[Tuple[int, int]], np.ndarray]],
         queries: Sequence[Query],
     ) -> List[np.ndarray]:
         """Action probabilities for every (query, branch) entry."""
-        if self._fast_policy:
-            return self._score_fast(entries, queries)
-        return self._score_via_agent(entries, queries)
-
-    def _score_fast(
-        self,
-        entries: List[Tuple[int, _Branch, List[Tuple[int, int]], np.ndarray]],
-        queries: Sequence[Query],
-    ) -> List[np.ndarray]:
         agent = self.agent
         batch = len(entries)
         sources = np.fromiter(
@@ -201,25 +156,28 @@ class BatchBeamSearch:
         history = np.concatenate([branch.hidden for _, branch, *_ in entries], axis=0)
         fused = agent.fuser(agent.fusion_inputs(sources, currents, relations, history))
         projected = agent.policy.project(fused)
-        return [
-            stable_softmax(matrix @ projected[i])
-            for i, (_, _, _, matrix) in enumerate(entries)
-        ]
+        if self._correction is None:
+            return [
+                stable_softmax(matrix @ projected[i])
+                for i, (_, _, _, matrix) in enumerate(entries)
+            ]
+        return self._corrected_probabilities(entries, projected)
 
-    def _score_via_agent(
-        self,
-        entries: List[Tuple[int, _Branch, List[Tuple[int, int]], np.ndarray]],
-        queries: Sequence[Query],
-    ) -> List[np.ndarray]:
-        probabilities = []
-        with _lock_for(self.agent), no_grad():
-            for qi, branch, actions, _ in entries:
-                query = queries[qi]
-                self.agent._query = query
-                self.agent.restore((branch.hidden, branch.cell))
-                state = self._state_for(query, branch)
-                probabilities.append(self.agent.action_probabilities(state, actions))
-        return probabilities
+    def _corrected_probabilities(self, entries, projected) -> List[np.ndarray]:
+        """Probabilities under the agent's log-prob correction, one padded batch."""
+        action_lists = [actions for _, _, actions, _ in entries]
+        counts = np.fromiter(map(len, action_lists), dtype=np.intp, count=len(entries))
+        mask = np.arange(counts.max()) < counts[:, None]
+        scores = np.full(mask.shape, -np.inf)
+        scores[mask] = np.concatenate(
+            [matrix @ projected[i] for i, (_, _, _, matrix) in enumerate(entries)]
+        )
+        log_probs = log_softmax_array(scores)
+        log_probs = log_probs + self._correction(
+            np.exp(log_probs), padded_relation_ids(action_lists, mask), mask
+        )
+        probabilities = np.exp(log_probs)
+        return [probabilities[i, :count] for i, count in enumerate(counts)]
 
     # -------------------------------------------------------------------- run
     def run(self, queries: Sequence[Query]) -> List[BeamSearchResult]:
@@ -246,7 +204,7 @@ class BatchBeamSearch:
             if not entries:
                 break
 
-            probabilities = self._score_branches(entries, queries)
+            probabilities = self._probabilities(entries, queries)
 
             # Per-query candidate pools, mirroring the sequential beam_search:
             # expand the locally best actions, then keep the globally best

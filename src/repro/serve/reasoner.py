@@ -322,8 +322,7 @@ class Reasoner:
         """Entity link-prediction metrics via the shared evaluation protocol.
 
         Evaluation runs through the same lockstep batched beam search as
-        serving (``EvaluationConfig.vectorized``) and reuses this reasoner's
-        warm action-space cache.
+        serving and reuses this reasoner's warm action-space cache.
         """
         pipeline = self._require_fitted()
         return evaluate_entity_prediction(

@@ -77,15 +77,6 @@ class TestParser:
         assert args.dataset == "wn9-img-txt"
         assert args.ablation == "MMKGR"
         assert args.preset == "fast"
-        assert not args.scalar_eval
-
-    def test_scalar_eval_flag_parses_everywhere(self):
-        parser = build_parser()
-        assert parser.parse_args(["train", "--scalar-eval"]).scalar_eval
-        assert parser.parse_args(
-            ["evaluate", "--checkpoint", "ckpt", "--scalar-eval"]
-        ).scalar_eval
-        assert parser.parse_args(["baselines", "--scalar-eval"]).scalar_eval
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--checkpoint", "ckpt"])
@@ -174,16 +165,6 @@ class TestTrainEvaluateExplain:
         assert exit_code == 0
         assert "entity link prediction" in captured
         assert csv_path.exists()
-
-    def test_evaluate_scalar_eval_matches_vectorized(self, trained_checkpoint, capsys):
-        # The CLI toggle selects the scalar loop; metrics must not move.
-        assert main(["evaluate", "--checkpoint", trained_checkpoint]) == 0
-        vectorized = capsys.readouterr().out
-        assert (
-            main(["evaluate", "--checkpoint", trained_checkpoint, "--scalar-eval"]) == 0
-        )
-        scalar = capsys.readouterr().out
-        assert scalar == vectorized
 
     def test_explain_from_checkpoint(self, trained_checkpoint, tmp_path, capsys):
         report_path = tmp_path / "report.json"

@@ -1,21 +1,22 @@
-"""Scalar-vs-vectorized evaluation parity and the ranking-determinism fixes.
+"""Batched-vs-reference evaluation parity and the ranking-determinism fixes.
 
-The vectorized evaluation engine must be an optimisation, not a protocol
-change: under the same seed, ``EvaluationConfig(vectorized=True)`` and
-``vectorized=False`` have to return byte-identical metric dictionaries for
-every protocol (entity MRR/Hits, relation MAP, hop distribution) — for MMKGR
-(fast-path batched scoring), for a baseline the engine drives through
-per-branch slow-path scoring (RLH), and for protocol-only agents that fall
-back to the scalar loop entirely.
+Every protocol runs through the lockstep ``BatchBeamSearch``.  That must be
+an optimisation, not a protocol change: under the same seed it has to return
+metric dictionaries byte-identical to the per-query reference
+``repro.rl.rollout.beam_search`` for every protocol (entity MRR/Hits,
+relation MAP, hop distribution) — for MMKGR and for the hierarchical RLH
+baseline, whose relation-level correction the engine applies per depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import threading
 
 import numpy as np
 import pytest
 
+from repro.baselines.rlh import HierarchicalAgent
+from repro.core import evaluator
 from repro.core.config import EvaluationConfig, MMKGRConfig
 from repro.core.evaluator import (
     beam_search_results,
@@ -28,6 +29,7 @@ from repro.core.trainer import MMKGRPipeline
 from repro.features.extraction import FeatureStore
 from repro.fusion.variants import FusionVariant
 from repro.kg.graph import KnowledgeGraph
+from repro.kg.multimodal import MultiModalKnowledgeGraph
 from repro.rl.environment import MKGEnvironment, Query
 from repro.rl.rollout import beam_search
 from repro.serve.engine import BatchBeamSearch
@@ -42,96 +44,118 @@ def trained_pipeline(request):
     return tiny_dataset, pipeline
 
 
-def _configs(beam_width: int = 4, **kwargs):
-    vectorized = EvaluationConfig(beam_width=beam_width, vectorized=True, **kwargs)
-    scalar = replace(vectorized, vectorized=False)
-    return vectorized, scalar
+def _config(beam_width: int = 4, **kwargs) -> EvaluationConfig:
+    return EvaluationConfig(beam_width=beam_width, **kwargs)
+
+
+def _reference_results(agent, environment, queries, config=None, cache=None):
+    """``beam_search_results`` as one reference beam search per query."""
+    config = config or EvaluationConfig()
+    return [
+        beam_search(agent, environment, query, beam_width=config.beam_width)
+        for query in queries
+    ]
+
+
+def _engine_and_reference(evaluate):
+    """``evaluate()`` through the engine, then through the reference loop."""
+    engine = evaluate()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "beam_search_results", _reference_results)
+        reference = evaluate()
+    return engine, reference
+
+
+def _assert_same_search(fast, slow):
+    assert fast.query == slow.query
+    # Raw log-probs may differ at float-noise level between the batched and
+    # per-row BLAS paths; the ranking (what every metric consumes) must match
+    # exactly.
+    fast_ranked = fast.ranked_entities()
+    slow_ranked = slow.ranked_entities()
+    assert [e for e, _ in fast_ranked] == [e for e, _ in slow_ranked]
+    np.testing.assert_allclose(
+        [score for _, score in fast_ranked],
+        [score for _, score in slow_ranked],
+        rtol=1e-9,
+    )
+    assert fast.entity_hops == slow.entity_hops
 
 
 class TestScalarVectorizedParity:
     def test_entity_metrics_identical(self, trained_pipeline):
         dataset, pipeline = trained_pipeline
-        vectorized, scalar = _configs()
-        results = [
-            evaluate_entity_prediction(
+        engine, reference = _engine_and_reference(
+            lambda: evaluate_entity_prediction(
                 pipeline.agent,
                 pipeline.environment,
                 dataset.splits.test,
                 filter_graph=dataset.graph,
-                config=config,
+                config=_config(),
                 rng=7,
             )
-            for config in (vectorized, scalar)
-        ]
-        assert results[0] == results[1]
+        )
+        assert engine == reference
 
     def test_relation_metrics_identical(self, trained_pipeline):
         dataset, pipeline = trained_pipeline
-        vectorized, scalar = _configs()
-        results = [
-            evaluate_relation_prediction(
+        engine, reference = _engine_and_reference(
+            lambda: evaluate_relation_prediction(
                 pipeline.agent,
                 pipeline.environment,
                 dataset.splits.test[:6],
-                config=config,
+                config=_config(),
                 rng=7,
             )
-            for config in (vectorized, scalar)
-        ]
-        assert results[0] == results[1]
-        assert "overall" in results[0]
+        )
+        assert engine == reference
+        assert "overall" in engine
 
     def test_hop_distribution_identical(self, trained_pipeline):
         dataset, pipeline = trained_pipeline
-        vectorized, scalar = _configs()
-        results = [
-            hop_distribution(
+        engine, reference = _engine_and_reference(
+            lambda: hop_distribution(
                 pipeline.agent,
                 pipeline.environment,
                 dataset.splits.test,
                 filter_graph=dataset.graph,
-                config=config,
+                config=_config(),
                 rng=7,
             )
-            for config in (vectorized, scalar)
-        ]
-        assert results[0] == results[1]
+        )
+        assert engine == reference
 
     def test_parity_survives_chunked_batches(self, trained_pipeline):
         # Chunking the lockstep engine must not change any ranking: a
         # batch_size smaller than the query count exercises the chunk loop.
         dataset, pipeline = trained_pipeline
-        vectorized, scalar = _configs(batch_size=3)
-        results = [
-            evaluate_entity_prediction(
+        engine, reference = _engine_and_reference(
+            lambda: evaluate_entity_prediction(
                 pipeline.agent,
                 pipeline.environment,
                 dataset.splits.test,
                 filter_graph=dataset.graph,
-                config=config,
+                config=_config(batch_size=3),
                 rng=7,
             )
-            for config in (vectorized, scalar)
-        ]
-        assert results[0] == results[1]
+        )
+        assert engine == reference
 
     def test_subsampling_draws_identical_queries(self, trained_pipeline):
-        # max_queries subsampling happens before the path split, so both
+        # max_queries subsampling happens before any beam search, so both
         # paths must evaluate the same subset under the same rng.
         dataset, pipeline = trained_pipeline
-        vectorized, scalar = _configs(max_queries=5)
-        results = [
-            evaluate_entity_prediction(
+        engine, reference = _engine_and_reference(
+            lambda: evaluate_entity_prediction(
                 pipeline.agent,
                 pipeline.environment,
                 dataset.splits.test,
                 filter_graph=dataset.graph,
-                config=config,
+                config=_config(max_queries=5),
                 rng=11,
             )
-            for config in (vectorized, scalar)
-        ]
-        assert results[0] == results[1]
+        )
+        assert engine == reference
 
 
 class TestBaselineParity:
@@ -143,35 +167,69 @@ class TestBaselineParity:
         tiny_preset = request.getfixturevalue("tiny_preset")
         return tiny_dataset, fit_baseline("RLH", tiny_dataset, preset=tiny_preset, rng=3)
 
-    def test_rlh_agent_is_batchable_via_slow_path(self, rlh_reasoner):
-        _, reasoner = rlh_reasoner
-        # RLH overrides action_log_probs, so the engine scores its branches
-        # through the agent — but it still advances in lockstep.
-        assert BatchBeamSearch.supports(reasoner.pipeline.agent)
+    def test_rlh_beam_search_matches_reference(self, rlh_reasoner):
+        dataset, reasoner = rlh_reasoner
+        agent = reasoner.pipeline.agent
+        environment = reasoner.pipeline.environment
+        assert isinstance(agent, HierarchicalAgent)
+        queries = [Query(t.head, t.relation, t.tail) for t in dataset.splits.test[:8]]
+        engine = BatchBeamSearch(agent, environment, beam_width=4)
+        for query, fast in zip(queries, engine.run(queries)):
+            slow = beam_search(agent, environment, query, beam_width=4)
+            _assert_same_search(fast, slow)
+            assert fast.paths == slow.paths
 
     def test_rlh_entity_metrics_identical(self, rlh_reasoner):
         dataset, reasoner = rlh_reasoner
-        vectorized, scalar = _configs()
-        results = [
-            reasoner.entity_metrics(
-                dataset.splits.test, filter_graph=dataset.graph, config=config, rng=7
+        engine, reference = _engine_and_reference(
+            lambda: reasoner.entity_metrics(
+                dataset.splits.test, filter_graph=dataset.graph, config=_config(), rng=7
             )
-            for config in (vectorized, scalar)
-        ]
-        assert results[0] == results[1]
+        )
+        assert engine == reference
 
     def test_rlh_relation_metrics_identical(self, rlh_reasoner):
         dataset, reasoner = rlh_reasoner
-        vectorized, scalar = _configs()
-        results = [
-            reasoner.relation_metrics(dataset.splits.test[:4], config=config, rng=7)
-            for config in (vectorized, scalar)
+        engine, reference = _engine_and_reference(
+            lambda: reasoner.relation_metrics(dataset.splits.test[:4], config=_config(), rng=7)
+        )
+        assert engine == reference
+
+    def test_rlh_two_threads_match_sequential(self, rlh_reasoner):
+        # The engines share one agent and never mutate it, so concurrent
+        # searches need no lock and must answer exactly as a sequential run.
+        dataset, reasoner = rlh_reasoner
+        agent = reasoner.pipeline.agent
+        environment = reasoner.pipeline.environment
+        test = dataset.splits.test
+        batches = [
+            [Query(t.head, t.relation, -1) for t in test[half::2][:12]] for half in (0, 1)
         ]
-        assert results[0] == results[1]
+        engines = [BatchBeamSearch(agent, environment, beam_width=4) for _ in batches]
+        expected = [engine.run(batch) for engine, batch in zip(engines, batches)]
+        barrier = threading.Barrier(len(engines))
+        answers = [[] for _ in engines]
+
+        def serve(index):
+            barrier.wait()
+            for _ in range(5):
+                answers[index].append(engines[index].run(batches[index]))
+
+        threads = [threading.Thread(target=serve, args=(i,)) for i in range(len(engines))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for index, rounds in enumerate(answers):
+            assert len(rounds) == 5
+            for results in rounds:
+                for got, want in zip(results, expected[index]):
+                    assert got.ranked_entities() == want.ranked_entities()
+                    assert got.paths == want.paths
 
 
 class _UniformAgent:
-    """A protocol-only agent the batch engine cannot drive (no MMKGR innards)."""
+    """A protocol-only agent: it rolls out by hand but is no MMKGRAgent."""
 
     def begin_episode(self, query) -> None:
         pass
@@ -194,56 +252,51 @@ class _UniformAgent:
         pass
 
 
-class TestScalarFallback:
-    def test_engine_rejects_protocol_only_agent(self):
-        assert not BatchBeamSearch.supports(_UniformAgent())
+def _uniform_agent(graph: KnowledgeGraph) -> MMKGRAgent:
+    """An MMKGRAgent whose policy scores every action 0: a uniform policy."""
+    zeros = np.zeros((graph.num_entities, 4))
+    mkg = MultiModalKnowledgeGraph.from_matrices(graph, zeros, zeros)
+    features = FeatureStore(mkg, structural_dim=4, rng=np.random.default_rng(0))
+    config = MMKGRConfig(
+        structural_dim=4,
+        history_dim=4,
+        auxiliary_dim=4,
+        attention_dim=4,
+        joint_dim=4,
+        policy_hidden_dim=4,
+        max_steps=1,
+        seed=0,
+    )
+    agent = MMKGRAgent(features, config=config, rng=0)
+    for parameter in agent.policy.output_layer.parameters():
+        parameter.data[...] = 0.0
+    return agent
 
-    def test_vectorized_config_falls_back_to_scalar(self, trained_pipeline):
-        # A non-batchable agent must evaluate through the scalar loop even
-        # with vectorized=True — same metrics, no crash.
+
+class TestScalarFallback:
+    """No scalar fallback is left: the evaluator only drives MMKGRAgents."""
+
+    def test_engine_rejects_protocol_only_agent(self, trained_pipeline):
         dataset, pipeline = trained_pipeline
-        agent = _UniformAgent()
-        vectorized, scalar = _configs()
-        results = [
-            evaluate_entity_prediction(
-                agent,
-                pipeline.environment,
-                dataset.splits.test[:6],
-                filter_graph=dataset.graph,
-                config=config,
-                rng=7,
+        queries = [Query(t.head, t.relation, t.tail) for t in dataset.splits.test[:3]]
+        with pytest.raises(TypeError):
+            beam_search_results(_UniformAgent(), pipeline.environment, queries, _config())
+        with pytest.raises(TypeError):
+            evaluate_relation_prediction(
+                _UniformAgent(), pipeline.environment, dataset.splits.test[:3], config=_config()
             )
-            for config in (vectorized, scalar)
-        ]
-        assert results[0] == results[1]
 
     def test_beam_search_results_order_and_length(self, trained_pipeline):
         dataset, pipeline = trained_pipeline
         queries = [
             Query(t.head, t.relation, t.tail) for t in dataset.splits.test[:5]
         ]
-        vectorized, scalar = _configs()
-        fast = beam_search_results(
-            pipeline.agent, pipeline.environment, queries, vectorized
-        )
-        slow = beam_search_results(
-            pipeline.agent, pipeline.environment, queries, scalar
-        )
+        fast = beam_search_results(pipeline.agent, pipeline.environment, queries, _config())
+        slow = _reference_results(pipeline.agent, pipeline.environment, queries, _config())
         assert len(fast) == len(slow) == len(queries)
         for query, fast_result, slow_result in zip(queries, fast, slow):
             assert fast_result.query == query
-            # Raw log-probs may differ at float-noise level between the
-            # batched and per-row BLAS paths; the ranking (what every metric
-            # consumes) must match exactly.
-            fast_ranked = fast_result.ranked_entities()
-            slow_ranked = slow_result.ranked_entities()
-            assert [e for e, _ in fast_ranked] == [e for e, _ in slow_ranked]
-            np.testing.assert_allclose(
-                [score for _, score in fast_ranked],
-                [score for _, score in slow_ranked],
-                rtol=1e-9,
-            )
-            assert fast_result.entity_hops == slow_result.entity_hops
+            _assert_same_search(fast_result, slow_result)
 
 
 class TestFusionVariantBeamParity:
@@ -268,17 +321,9 @@ class TestFusionVariantBeamParity:
         environment = MKGEnvironment(tiny_dataset.train_graph, max_steps=3, max_actions=16)
         queries = [Query(t.head, t.relation, -1) for t in tiny_dataset.splits.test[:8]]
         engine = BatchBeamSearch(agent, environment, beam_width=4)
-        assert engine._fast_policy
         for query, fast in zip(queries, engine.run(queries)):
             slow = beam_search(agent, environment, query, beam_width=4)
-            assert [e for e, _ in fast.ranked_entities()] == [
-                e for e, _ in slow.ranked_entities()
-            ]
-            np.testing.assert_allclose(
-                [score for _, score in fast.ranked_entities()],
-                [score for _, score in slow.ranked_entities()],
-                rtol=1e-9,
-            )
+            _assert_same_search(fast, slow)
             assert fast.paths == slow.paths
 
 
@@ -289,13 +334,12 @@ class TestRelationRankingDeterminism:
         # ascending relation id regardless of how candidates are listed.
         dataset, pipeline = trained_pipeline
         candidates = list(range(min(6, dataset.graph.num_relations)))
-        vectorized, _ = _configs()
         forward = evaluate_relation_prediction(
             pipeline.agent,
             pipeline.environment,
             dataset.splits.test[:5],
             candidate_relations=candidates,
-            config=vectorized,
+            config=_config(),
             rng=7,
         )
         backward = evaluate_relation_prediction(
@@ -303,7 +347,7 @@ class TestRelationRankingDeterminism:
             pipeline.environment,
             dataset.splits.test[:5],
             candidate_relations=list(reversed(candidates)),
-            config=vectorized,
+            config=_config(),
             rng=7,
         )
         assert forward == backward
@@ -329,7 +373,7 @@ class TestHopDistributionFilteredProtocol:
 
     def test_success_matches_filtered_hits_at_1(self, duplicate_answer_setup):
         graph, environment = duplicate_answer_setup
-        agent = _UniformAgent()
+        agent = _uniform_agent(graph)
         t2 = graph.entities.index("t2")
         triple = next(t for t in graph.triples() if t.tail == t2)
         config = EvaluationConfig(beam_width=4, hits_at=(1,))
@@ -354,7 +398,7 @@ class TestHopDistributionFilteredProtocol:
         # then yields rank 1 for the *unreached* answer on this tiny graph —
         # but a query without a real path must not enter the hop counts.
         graph, environment = duplicate_answer_setup
-        agent = _UniformAgent()
+        agent = _uniform_agent(graph)
         t1 = graph.entities.index("t1")
         t2 = graph.entities.index("t2")
         config = EvaluationConfig(beam_width=1)
@@ -380,7 +424,7 @@ class TestHopDistributionFilteredProtocol:
 
     def test_unfiltered_best_entity_would_have_missed_it(self, duplicate_answer_setup):
         graph, environment = duplicate_answer_setup
-        agent = _UniformAgent()
+        agent = _uniform_agent(graph)
         t1 = graph.entities.index("t1")
         t2 = graph.entities.index("t2")
         triple = next(t for t in graph.triples() if t.tail == t2)

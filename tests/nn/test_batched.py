@@ -22,6 +22,7 @@ from repro.nn.tensor import Tensor, concat
 from repro.rl.batched_rollout import BatchedRolloutEngine
 from repro.rl.environment import MKGEnvironment, Query
 from repro.rl.policy import pad_action_matrices, stack_action_embeddings
+from repro.rl.rollout import beam_search, sample_episode
 from repro.serve.engine import BatchBeamSearch
 
 VARIANTS = list(FusionVariant)
@@ -255,8 +256,18 @@ class TestBatchedFusionEquivalence:
         agent = _agent(store, FusionVariant.CONVENTIONAL_ATTENTION)
         dataset, _ = store
         environment = MKGEnvironment(dataset.train_graph, max_steps=3, max_actions=16)
-        assert BatchedRolloutEngine.supports(agent)
-        assert BatchBeamSearch(agent, environment)._fast_policy
+        queries = [Query(t.head, t.relation, t.tail) for t in dataset.splits.train[:4]]
+        episodes = BatchedRolloutEngine(agent, environment).sample_episodes(
+            queries, greedy=True
+        )
+        searches = BatchBeamSearch(agent, environment, beam_width=4).run(queries)
+        for query, episode, search in zip(queries, episodes, searches):
+            reference = sample_episode(agent, environment, query, greedy=True)
+            assert episode.state.path == reference.state.path
+            reference = beam_search(agent, environment, query, beam_width=4)
+            assert [e for e, _ in search.ranked_entities()] == [
+                e for e, _ in reference.ranked_entities()
+            ]
         states, hiddens = _walk_states(store, agent, count=5)
         fused = agent.fuser(_fusion_inputs(agent, states, hiddens))
         assert fused.shape == (5, agent.fuser.output_dim)
