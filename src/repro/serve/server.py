@@ -38,6 +38,7 @@ import threading
 import time
 from collections import defaultdict, deque
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -946,8 +947,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
+    # Each reply leaves as one TCP segment: Nagle is off, and the buffered
+    # wfile holds the header block and the body until the stdlib flushes it
+    # after the request.  Two small writes with Nagle on make every
+    # keep-alive reply wait out the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
+    wbufsize = 64 * 1024
     # 30 s is far beyond any sane micro-batch wait; it bounds a wedged worker.
     result_timeout_s = 30.0
+    # A query body is a few dozen bytes; anything past this is refused unread.
+    max_body_bytes = 1 << 20
 
     @property
     def reasoning(self) -> ReasoningServer:
@@ -956,11 +965,20 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         pass  # per-request logging is the stats endpoint's job
 
+    def handle_expect_100(self) -> bool:
+        # The buffered wfile would hold the interim 100 back while the
+        # client waits for it before sending the body.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -997,14 +1015,23 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         # Always consume the body first: on a keep-alive connection, unread
-        # body bytes would be parsed as the next request line.
+        # body bytes would be parsed as the next request line.  A body that
+        # is refused unread closes the connection instead.
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            body = self.rfile.read(length) if length > 0 else b""
         except (ValueError, TypeError):
+            length = -1
+        if length < 0:
             self.close_connection = True
             self._send_json(400, {"error": "invalid Content-Length header"})
             return
+        if length > self.max_body_bytes:
+            self.close_connection = True
+            self._send_json(
+                413, {"error": f"request body exceeds {self.max_body_bytes} bytes"}
+            )
+            return
+        body = self.rfile.read(length)
         if self.path == "/query":
             url_model = None
         elif (url_model := self._model_path("query")) is None:
@@ -1032,9 +1059,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if served_by is None and model is not None:
             return  # 404 already sent
         try:
-            predictions = self.reasoning.submit(head, relation, k=k, model=model).result(
-                timeout=self.result_timeout_s
+            future = self.reasoning.submit(head, relation, k=k, model=model)
+            predictions = future.result(timeout=self.result_timeout_s)
+        except FutureTimeoutError:
+            # A request still queued is dropped by its backend, not computed.
+            future.cancel()
+            self._send_json(
+                504, {"error": f"no result within {self.result_timeout_s:g} s"}
             )
+            return
         except QUERY_ERRORS as error:
             self._send_json(400, {"error": str(error)})
             return

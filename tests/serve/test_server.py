@@ -8,15 +8,20 @@ caches).
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import io
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.serve import Reasoner, ReasoningServer, ServeConfig, ServerStats
+from repro.serve import Prediction, Reasoner, ReasoningServer, ServeConfig, ServerStats
+from repro.serve.server import _RequestHandler
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +310,208 @@ class TestHTTPFrontEnd:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{http_server}/nope", timeout=30)
         assert excinfo.value.code == 404
+
+
+class _StubReasoner:
+    """Answers instantly with ``k`` synthetic predictions; no model behind it.
+
+    ``gate`` (when set) holds the first ``query_batch`` call until released,
+    so a test can keep the only worker busy; ``answered`` records every
+    query the stub computed.
+    """
+
+    name = "stub"
+
+    def __init__(self, gate: "threading.Event | None" = None):
+        self.gate = gate
+        self.entered = threading.Event()
+        self.answered = []
+
+    def query(self, head, relation, k=10):
+        return self.query_batch([(head, relation)], k=k)[0]
+
+    def query_batch(self, queries, k=10):
+        if self.gate is not None and not self.entered.is_set():
+            self.entered.set()
+            self.gate.wait(timeout=10)
+        self.answered.extend(queries)
+        return [
+            [Prediction(entity=i, entity_name=f"entity_{i:05d}", score=-float(i)) for i in range(k)]
+            for _ in queries
+        ]
+
+
+@contextlib.contextmanager
+def _stub_http(reasoner):
+    """Serve ``reasoner`` over HTTP on an ephemeral port with no batching delay."""
+    server = ReasoningServer(reasoner, config=ServeConfig(max_wait_ms=0))
+    httpd = server.http_server("127.0.0.1", 0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield httpd.server_address[1]
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        server.close()
+        thread.join(timeout=5)
+
+
+def _post_json(connection, payload):
+    connection.request(
+        "POST", "/query", body=json.dumps(payload), headers={"Content-Type": "application/json"}
+    )
+    response = connection.getresponse()
+    return response.status, json.loads(response.read())
+
+
+class TestKeepAlive:
+    """Regression: a keep-alive reply must not wait out the delayed ACK.
+
+    With Nagle on and the header block and body sent as two writes, every
+    reply on a persistent connection stalled ~40 ms; the ``urllib`` tests
+    above close the connection after each request and cannot see it.
+    """
+
+    def test_sequential_posts_on_one_connection_do_not_stall(self):
+        with _stub_http(_StubReasoner()) as port:
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                _post_json(connection, {"head": 0, "relation": 0, "k": 3})  # warm up
+                started = time.perf_counter()
+                statuses = [
+                    _post_json(connection, {"head": i, "relation": 0, "k": 3})[0]
+                    for i in range(20)
+                ]
+                elapsed = time.perf_counter() - started
+            finally:
+                connection.close()
+        assert statuses == [200] * 20
+        # Half of 20 delayed-ACK stalls: a stalled handler takes ~0.8 s.
+        assert elapsed < 0.4
+
+    def test_bad_query_then_good_query_on_one_connection(self):
+        with _stub_http(_StubReasoner()) as port:
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                status, payload = _post_json(connection, {"head": 0})
+                assert status == 400 and "error" in payload
+                status, payload = _post_json(connection, {"head": 0, "relation": 0, "k": 2})
+                assert status == 200 and len(payload["predictions"]) == 2
+            finally:
+                connection.close()
+
+    def test_reply_larger_than_the_write_buffer_arrives_intact(self):
+        k = 2000
+        with _stub_http(_StubReasoner()) as port:
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                connection.request(
+                    "POST", "/query", body=json.dumps({"head": 0, "relation": 0, "k": k})
+                )
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == 200
+                assert len(body) > _RequestHandler.wbufsize
+                assert [p["entity"] for p in json.loads(body)["predictions"]] == list(range(k))
+                # The connection is still usable after the oversized reply.
+                status, _ = _post_json(connection, {"head": 1, "relation": 0, "k": 1})
+                assert status == 200
+            finally:
+                connection.close()
+
+    def test_expect_100_continue_is_sent_before_the_body_is_read(self):
+        body = json.dumps({"head": 0, "relation": 0, "k": 1}).encode()
+        with _stub_http(_StubReasoner()) as port:
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                sock.sendall(
+                    b"POST /query HTTP/1.1\r\nHost: localhost\r\nExpect: 100-continue\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+                )
+                # The write buffer must not hold the interim reply back: the
+                # client sends no body until it sees it.
+                assert sock.recv(4096).startswith(b"HTTP/1.1 100")
+                sock.sendall(body)
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+
+
+def _raw_exchange(port, request: bytes) -> bytes:
+    """Send ``request`` on a fresh socket and read until the server closes it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestRequestBodyBound:
+    """A declared body length is checked before a byte of it is read."""
+
+    @staticmethod
+    def _post_with_length(length: str, body: bytes = b"") -> bytes:
+        return (
+            f"POST /query HTTP/1.1\r\nHost: localhost\r\nContent-Length: {length}\r\n\r\n"
+        ).encode("ascii") + body
+
+    @staticmethod
+    def _status_and_headers(reply: bytes):
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = {k.lower(): v.strip() for k, _, v in (line.partition(":") for line in lines[1:])}
+        return int(lines[0].split()[1]), headers, body
+
+    @pytest.mark.parametrize("length", [str(64 * 1024 * 1024), str(1 << 40)])
+    def test_oversized_body_is_a_413_and_the_connection_closes(self, length):
+        with _stub_http(_StubReasoner()) as port:
+            reply = _raw_exchange(port, self._post_with_length(length, b'{"head": 0'))
+        status, headers, body = self._status_and_headers(reply)
+        assert status == 413
+        assert headers["connection"] == "close"
+        assert "exceeds" in json.loads(body)["error"]
+
+    def test_negative_length_is_a_400_and_the_connection_closes(self):
+        with _stub_http(_StubReasoner()) as port:
+            # Were the connection kept open, the trailing bytes would be
+            # parsed as a second request and draw a second reply.
+            reply = _raw_exchange(
+                port,
+                self._post_with_length("-5", b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"),
+            )
+        status, headers, body = self._status_and_headers(reply)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert "Content-Length" in json.loads(body)["error"]
+
+
+class TestResultTimeout:
+    def test_timed_out_request_is_a_504_and_never_computed(self, monkeypatch):
+        monkeypatch.setattr(_RequestHandler, "result_timeout_s", 0.05)
+        gate = threading.Event()
+        stub = _StubReasoner(gate=gate)
+        with _stub_http(stub) as port:
+            replies = {}
+
+            def post(head):
+                connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+                try:
+                    replies[head] = _post_json(connection, {"head": head, "relation": 0, "k": 1})
+                finally:
+                    connection.close()
+
+            # Head 1 occupies the only worker; head 2 waits in the queue
+            # behind it until both time out.
+            busy = threading.Thread(target=post, args=(1,))
+            busy.start()
+            assert stub.entered.wait(timeout=10)
+            post(2)
+            busy.join(timeout=10)
+            gate.set()
+        assert replies[1][0] == 504 and replies[2][0] == 504
+        assert "no result within" in replies[2][1]["error"]
+        # The server drained on close; the cancelled request never ran.
+        assert stub.answered == [(1, 0)]
 
 
 class TestHealthz:
