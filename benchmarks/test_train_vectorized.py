@@ -25,6 +25,8 @@ from common import WN9, bench_preset, format_table
 from repro.core.model import MMKGRAgent
 from repro.features.extraction import FeatureStore
 from repro.kg.datasets import build_named_dataset
+from repro.nn.tensor import stack
+from repro.rl.batched_rollout import Rollout
 from repro.rl.environment import MKGEnvironment
 from repro.rl.reinforce import ReinforceConfig, ReinforceTrainer
 from repro.rl.rewards import ZeroOneReward
@@ -37,16 +39,27 @@ MIN_SPEEDUP = 2.0
 
 
 class _ReferenceReinforceTrainer(ReinforceTrainer):
-    """Samples every mini-batch with the per-query reference loop."""
+    """Samples every mini-batch with the per-query reference loop.
+
+    The episodes' traced per-step log-probs are stacked depth by depth into
+    the ``(rows, Tensor)`` gathers that ``BatchedRolloutEngine`` returns.
+    """
 
     def _sample_batch(self, batch):
         expanded = [
             query for query in batch for _ in range(self.config.rollouts_per_query)
         ]
-        return [
+        episodes = [
             sample_episode(self.agent, self.environment, query, rng=episode_rng)
             for query, episode_rng in zip(expanded, spawn_rngs(self.rng, len(expanded)))
         ]
+        steps = []
+        for depth in range(max(len(episode.log_probs) for episode in episodes)):
+            rows = [i for i, episode in enumerate(episodes) if len(episode.log_probs) > depth]
+            steps.append(
+                (np.asarray(rows), stack([episodes[i].log_probs[depth] for i in rows]))
+            )
+        return Rollout(episodes, steps)
 
 
 def _trainer(dataset, features, preset, vectorized: bool) -> ReinforceTrainer:

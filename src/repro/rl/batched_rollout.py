@@ -9,7 +9,8 @@ advances *all* queries of a training mini-batch depth-by-depth:
 * one masked policy evaluation per step over padded per-query action spaces
   (:class:`repro.rl.policy.PolicyNetwork` with
   :func:`repro.rl.policy.pad_action_matrices`), followed by the agent
-  class's ``log_prob_correction`` when it has one (RLH's relation level);
+  class's ``log_prob_correction`` when it has one (RLH's relation level),
+  then one gather of the chosen (or gold) actions' log-probs for the loss;
 * one batched ``LSTMCell`` call per step folding every query's chosen edge
   into its path history.
 
@@ -35,7 +36,8 @@ asserts.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +50,20 @@ from repro.rl.policy import (
 )
 from repro.rl.rollout import SampledEpisode
 from repro.utils.rng import SeedLike, spawn_rngs
+
+
+@dataclass
+class Rollout:
+    """A lockstep batch of sampled episodes and its traced log-probabilities.
+
+    ``steps[t]`` is ``(rows, log_probs)``: the indices of the episodes still
+    walking at depth ``t`` and their chosen actions' log π, gathered from that
+    depth's policy output as one Tensor.  Each episode's ``log_probs`` holds
+    the same values untraced.
+    """
+
+    episodes: List[SampledEpisode]
+    steps: List[Tuple[np.ndarray, Tensor]]
 
 
 class BatchedRolloutEngine:
@@ -66,18 +82,21 @@ class BatchedRolloutEngine:
         self.environment = environment
 
     # ---------------------------------------------------------------- helpers
-    def _seed_history(self, sources: np.ndarray):
-        """Batched equivalent of begin_episode(): fold the (zero relation,
-        source entity) seed step through the agent's own LSTM cell so the
-        episode graph starts at the trainable parameters."""
+    def _start(self, queries: List[Query]):
+        """Reset every episode and run the batched begin_episode(): fold the
+        (zero relation, source entity) seed step through the agent's own LSTM
+        cell so the episode graph starts at the trainable parameters."""
         features = self.agent.features
         cell_module = self.agent.history_encoder.cell
-        batch = sources.shape[0]
+        batch = len(queries)
+        states = [self.environment.reset(query) for query in queries]
+        sources = np.fromiter((q.source for q in queries), dtype=np.intp, count=batch)
+        relations = np.fromiter((q.relation for q in queries), dtype=np.intp, count=batch)
         seed_inputs = np.concatenate(
             [np.zeros((batch, features.structural_dim)), features.entity_embeddings[sources]],
             axis=1,
         )
-        return cell_module(seed_inputs, cell_module.init_state(batch))
+        return states, sources, relations, cell_module(seed_inputs, cell_module.init_state(batch))
 
     def _step_log_probs(self, states, sources, relations, rows, action_lists, hidden):
         """Masked log π over each active row's action space, shape (rows, n_max)."""
@@ -100,12 +119,15 @@ class BatchedRolloutEngine:
         )
         return log_probs + Tensor(corrections)
 
-    def _advance_history(self, chosen, hidden, cell):
-        """Batched observe_step(): fold every row's chosen edge into its history."""
+    def _advance(self, states, rows, action_lists, choices, hidden, cell):
+        """Batched observe_step() and environment step for each row's choice."""
         features = self.agent.features
+        chosen = [actions[choice] for actions, choice in zip(action_lists, choices)]
         step_inputs = stack_action_embeddings(
             chosen, features.relation_embeddings, features.entity_embeddings
         )
+        for i, action in zip(rows, chosen):
+            self.environment.step(states[i], action)
         return self.agent.history_encoder.cell(step_inputs, (hidden, cell))
 
     # -------------------------------------------------------------------- run
@@ -115,34 +137,31 @@ class BatchedRolloutEngine:
         rngs: Optional[Sequence[np.random.Generator]] = None,
         rng: SeedLike = None,
         greedy: bool = False,
-    ) -> List[SampledEpisode]:
+    ) -> Rollout:
         """Roll out one episode per query, all queries advanced in lockstep.
 
         ``rngs`` supplies one child generator per episode (the trainer spawns
         them from its own generator); when omitted they are spawned here from
         ``rng``.  Episode ``i`` is sampled exactly as
         ``sample_episode(agent, environment, queries[i], rng=rngs[i])`` would
-        sample it, including the log-prob tensors needed for REINFORCE.
+        sample it.
         """
         queries = list(queries)
         if not queries:
-            return []
+            return Rollout([], [])
         if rngs is None:
             rngs = spawn_rngs(rng, len(queries))
         elif len(rngs) != len(queries):
             raise ValueError(f"expected {len(queries)} rngs, got {len(rngs)}")
 
         environment = self.environment
-        batch = len(queries)
-        states = [environment.reset(query) for query in queries]
+        states, sources, relations, (hidden, cell) = self._start(queries)
         episodes = [SampledEpisode(state=state) for state in states]
-        sources = np.fromiter((q.source for q in queries), dtype=np.intp, count=batch)
-        relations = np.fromiter((q.relation for q in queries), dtype=np.intp, count=batch)
-        hidden, cell = self._seed_history(sources)
+        steps: List[Tuple[np.ndarray, Tensor]] = []
 
         # `rows[r]` maps the r-th row of the live hidden/cell batch to its
         # episode index; finished episodes are dropped from the batch.
-        rows = list(range(batch))
+        rows = list(range(len(queries)))
         while True:
             keep = [r for r, i in enumerate(rows) if not environment.is_terminal(states[i])]
             if not keep:
@@ -156,34 +175,30 @@ class BatchedRolloutEngine:
             log_probs = self._step_log_probs(
                 states, sources, relations, rows, action_lists, hidden
             )
-
-            chosen = []
+            choices = np.empty(len(rows), dtype=np.intp)
             for row, i in enumerate(rows):
                 count = len(action_lists[row])
                 probabilities = np.exp(log_probs.data[row, :count])
                 probabilities = probabilities / probabilities.sum()
                 if greedy:
-                    choice = int(np.argmax(probabilities))
+                    choices[row] = np.argmax(probabilities)
                 else:
-                    choice = int(rngs[i].choice(count, p=probabilities))
-                episodes[i].log_probs.append(log_probs[row, choice])
-                chosen.append(action_lists[row][choice])
+                    choices[row] = rngs[i].choice(count, p=probabilities)
+            chosen = log_probs[np.arange(len(rows)), choices]
+            steps.append((np.asarray(rows, dtype=np.intp), chosen))
+            for i, value in zip(rows, chosen.data):
+                episodes[i].log_probs.append(Tensor(value))
+            hidden, cell = self._advance(states, rows, action_lists, choices, hidden, cell)
+        return Rollout(episodes, steps)
 
-            hidden, cell = self._advance_history(chosen, hidden, cell)
-            for row, i in enumerate(rows):
-                environment.step(states[i], chosen[row])
-        return episodes
-
-    def teacher_force(
-        self,
-        demonstrations: Sequence,
-    ) -> List[List[Tensor]]:
+    def teacher_force(self, demonstrations: Sequence) -> List[Tensor]:
         """Gold-action log-probs for teacher-forced demonstration paths.
 
         ``demonstrations`` is a sequence of ``(query, path)`` pairs where
         ``path`` is the (already padded) list of gold ``(relation, entity)``
-        actions.  Returns one list of log-prob tensors per demonstration, in
-        step order.  A demonstration stops contributing as soon as its gold
+        actions.  Returns one Tensor per depth: the gold log-probs of the
+        demonstrations still walking, gathered from that depth's policy
+        output.  A demonstration stops contributing as soon as its gold
         action is absent from the action space (a pruned edge), its path is
         exhausted, or its episode is terminal.
         """
@@ -191,25 +206,23 @@ class BatchedRolloutEngine:
         if not demonstrations:
             return []
         environment = self.environment
-        batch = len(demonstrations)
-        queries = [query for query, _ in demonstrations]
         paths = [list(path) for _, path in demonstrations]
-        states = [environment.reset(query) for query in queries]
-        log_prob_lists: List[List[Tensor]] = [[] for _ in range(batch)]
-        sources = np.fromiter((q.source for q in queries), dtype=np.intp, count=batch)
-        relations = np.fromiter((q.relation for q in queries), dtype=np.intp, count=batch)
-        hidden, cell = self._seed_history(sources)
+        states, sources, relations, (hidden, cell) = self._start(
+            [query for query, _ in demonstrations]
+        )
+        gathered: List[Tensor] = []
 
-        rows = list(range(batch))
-        cursor = [0] * batch  # next gold-action index per demonstration
+        # Live demonstrations take one step per depth: `step` indexes the gold path.
+        rows = list(range(len(demonstrations)))
         while True:
             keep, action_lists, gold_indices = [], [], []
             for r, i in enumerate(rows):
-                if environment.is_terminal(states[i]) or cursor[i] >= len(paths[i]):
+                step = states[i].step
+                if environment.is_terminal(states[i]) or step >= len(paths[i]):
                     continue
                 actions = environment.available_actions(states[i])
                 try:
-                    gold_index = actions.index(paths[i][cursor[i]])
+                    gold_index = actions.index(paths[i][step])
                 except ValueError:
                     continue  # the demonstration stepped through a pruned edge
                 keep.append(r)
@@ -225,13 +238,6 @@ class BatchedRolloutEngine:
             log_probs = self._step_log_probs(
                 states, sources, relations, rows, action_lists, hidden
             )
-            chosen = []
-            for row, i in enumerate(rows):
-                log_prob_lists[i].append(log_probs[row, gold_indices[row]])
-                chosen.append(action_lists[row][gold_indices[row]])
-
-            hidden, cell = self._advance_history(chosen, hidden, cell)
-            for row, i in enumerate(rows):
-                environment.step(states[i], chosen[row])
-                cursor[i] += 1
-        return log_prob_lists
+            gathered.append(log_probs[np.arange(len(rows)), gold_indices])
+            hidden, cell = self._advance(states, rows, action_lists, gold_indices, hidden, cell)
+        return gathered

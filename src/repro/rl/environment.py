@@ -16,7 +16,7 @@ Rewards are computed by ``repro.rl.rewards`` from finished episodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.kg.graph import KnowledgeGraph
 
@@ -50,10 +50,6 @@ class EpisodeState:
 
     # Populated by the environment so ``hops`` can ignore self-loops.
     _no_op_ids: Set[int] = field(default_factory=set, repr=False)
-
-    def neighbors(self, graph: KnowledgeGraph) -> Tuple[int, ...]:
-        """The neighbourhood ``N_t``, id-sorted (deterministic across runs)."""
-        return graph.neighbors(self.current_entity)
 
     def visited_entities(self) -> List[int]:
         return [self.query.source] + [entity for _, entity in self.path]

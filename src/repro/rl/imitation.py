@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.kg.graph import KnowledgeGraph, Triple
 from repro.nn import Adam, clip_grad_norm
+from repro.nn.tensor import concat
 from repro.rl.batched_rollout import BatchedRolloutEngine
 from repro.rl.environment import MKGEnvironment, Query
 from repro.utils.logging import get_logger
@@ -175,19 +176,15 @@ class ImitationTrainer:
         return padded_path
 
     def _train_batch(self, batch) -> float:
+        """Mean negative log-likelihood of the gold actions, one gather per depth."""
         self.optimizer.zero_grad()
-        per_demonstration = self._engine.teacher_force(
+        gathered = self._engine.teacher_force(
             [(query, self._padded_path(query, path)) for query, path in batch]
         )
-        losses = [
-            -log_prob for step_log_probs in per_demonstration for log_prob in step_log_probs
-        ]
-        if not losses:
+        if not gathered:
             return 0.0
-        loss = losses[0]
-        for extra in losses[1:]:
-            loss = loss + extra
-        loss = loss / len(losses)
+        log_probs = concat(gathered, axis=0)
+        loss = -log_probs.sum() / len(log_probs)
         loss.backward()
         clip_grad_norm(self.agent.parameters(), self.config.grad_clip)
         self.optimizer.step()

@@ -20,11 +20,14 @@ same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.kg.graph import Triple
 from repro.nn import Adam, clip_grad_norm
-from repro.rl.batched_rollout import BatchedRolloutEngine
+from repro.nn.tensor import concat
+from repro.rl.batched_rollout import BatchedRolloutEngine, Rollout
 from repro.rl.environment import MKGEnvironment, Query
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, new_rng, spawn_rngs
@@ -33,8 +36,6 @@ if TYPE_CHECKING:
     from repro.core.model import MMKGRAgent
 
 LOGGER = get_logger("rl.reinforce")
-
-RewardFunction = Callable
 
 
 @dataclass
@@ -68,11 +69,6 @@ class TrainingHistory:
 
     epoch_rewards: List[float] = field(default_factory=list)
     epoch_success_rates: List[float] = field(default_factory=list)
-    epoch_metrics: List[Dict[str, float]] = field(default_factory=list)
-
-    @property
-    def final_reward(self) -> float:
-        return self.epoch_rewards[-1] if self.epoch_rewards else float("nan")
 
 
 class ReinforceTrainer:
@@ -82,7 +78,7 @@ class ReinforceTrainer:
         self,
         agent: MMKGRAgent,
         environment: MKGEnvironment,
-        reward_fn: RewardFunction,
+        reward_fn: Callable,
         config: Optional[ReinforceConfig] = None,
         rng: SeedLike = None,
     ):
@@ -137,7 +133,7 @@ class ReinforceTrainer:
                 epoch_callback(epoch, history)
         return history
 
-    def _sample_batch(self, batch: Sequence[Query]) -> List:
+    def _sample_batch(self, batch: Sequence[Query]) -> Rollout:
         """One episode per (query, rollout), sampled in lockstep.
 
         The queries are expanded rollout-by-rollout and each episode gets its
@@ -155,33 +151,31 @@ class ReinforceTrainer:
         )
 
     def _train_batch(self, batch: Sequence[Query]) -> tuple:
-        """One optimisation step over a batch of queries."""
+        """One optimisation step over a batch of queries.
+
+        Rewards and the moving-average baseline advance in episode order; the
+        loss ``-Σ_t Σ_i A_i log π(a_t^i) / B`` is one dot product of the
+        rollout's per-depth gathers with the matching advantages.
+        """
         self.optimizer.zero_grad()
+        rollout = self._sample_batch(batch)
+        advantages = np.empty(len(rollout.episodes))
         total_reward = 0.0
         total_success = 0
-        episodes = 0
-        losses = []
-        for episode in self._sample_batch(batch):
-            query = episode.state.query
+        for index, episode in enumerate(rollout.episodes):
             reward = float(self.reward_fn(episode.state, self.environment))
             total_reward += reward
-            total_success += int(episode.state.current_entity == query.answer)
-            episodes += 1
-            advantage = reward - self._baseline
+            total_success += int(episode.state.current_entity == episode.state.query.answer)
+            advantages[index] = reward - self._baseline
             self._baseline = (
                 self.config.baseline_decay * self._baseline
                 + (1.0 - self.config.baseline_decay) * reward
             )
-            if not episode.log_probs:
-                continue
-            for log_prob in episode.log_probs:
-                losses.append(log_prob * (-advantage))
-        if losses:
-            loss = losses[0]
-            for extra in losses[1:]:
-                loss = loss + extra
-            loss = loss / max(1, episodes)
+        if rollout.steps:
+            rows = np.concatenate([ids for ids, _ in rollout.steps])
+            log_probs = concat([chosen for _, chosen in rollout.steps], axis=0)
+            loss = (log_probs @ -advantages[rows]) / len(rollout.episodes)
             loss.backward()
             clip_grad_norm(self.agent.parameters(), self.config.grad_clip)
             self.optimizer.step()
-        return total_reward, total_success, episodes
+        return total_reward, total_success, len(rollout.episodes)

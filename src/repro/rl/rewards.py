@@ -17,9 +17,8 @@ ZOKGR ablation) is provided for comparison.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -143,9 +142,12 @@ class DiversityReward:
 
     The embedding of a relation path is the mean of its relation embeddings.
     Paths that successfully reached an answer are remembered per query
-    relation; subsequent episodes for the same relation are penalised in
-    proportion to their similarity to the remembered paths.
+    relation, as the first ``n`` rows of an array that doubles when full.  An
+    episode is scored against all ``n`` with one kernel,
+    ``-mean(exp(-‖e - m_j‖² / 2σ²)) / n``, before it is itself remembered.
     """
+
+    _INITIAL_CAPACITY = 16
 
     def __init__(self, relation_embeddings: np.ndarray, bandwidth: float = 3.0):
         relation_embeddings = np.asarray(relation_embeddings, dtype=np.float64)
@@ -155,7 +157,8 @@ class DiversityReward:
             raise ValueError("bandwidth must be positive")
         self.relation_embeddings = relation_embeddings
         self.bandwidth = bandwidth
-        self._memory: Dict[int, List[np.ndarray]] = defaultdict(list)
+        # relation -> (rows, number of rows in use)
+        self._memory: Dict[int, Tuple[np.ndarray, int]] = {}
 
     def path_embedding(self, state: EpisodeState) -> np.ndarray:
         relations = [
@@ -166,25 +169,26 @@ class DiversityReward:
         return self.relation_embeddings[relations].mean(axis=0)
 
     def __call__(self, state: EpisodeState, environment: MKGEnvironment) -> float:
-        known = self._memory.get(state.query.relation, [])
+        relation = state.query.relation
         embedding = self.path_embedding(state)
-        if not known:
-            reward = 0.0
-        else:
-            kernel_values = [
-                np.exp(-np.sum((embedding - previous) ** 2) / (2.0 * self.bandwidth ** 2))
-                for previous in known
-            ]
-            reward = -float(np.mean(kernel_values)) / len(known)
+        memory, count = self._memory.get(relation, (np.empty((0, embedding.size)), 0))
+        reward = 0.0
+        if count:
+            squared = ((embedding - memory[:count]) ** 2).sum(axis=1)
+            reward = -float(np.exp(-squared / (2.0 * self.bandwidth ** 2)).mean()) / count
         if state.current_entity == state.query.answer:
-            self._memory[state.query.relation].append(embedding)
+            if count == len(memory):
+                extra = np.empty((max(self._INITIAL_CAPACITY, count), embedding.size))
+                memory = np.concatenate([memory, extra])
+            memory[count] = embedding
+            self._memory[relation] = (memory, count + 1)
         return reward
 
     def reset_memory(self) -> None:
         self._memory.clear()
 
     def known_paths(self, relation: int) -> int:
-        return len(self._memory.get(relation, []))
+        return self._memory[relation][1] if relation in self._memory else 0
 
 
 class CompositeReward:

@@ -48,7 +48,8 @@ class ReasoningAgent(Protocol):
 
 @dataclass
 class SampledEpisode:
-    """Outcome of one stochastic rollout."""
+    """Outcome of one stochastic rollout: the final state and each step's
+    chosen-action log π (untraced when the batched engine sampled it)."""
 
     state: EpisodeState
     log_probs: List[Tensor] = field(default_factory=list)

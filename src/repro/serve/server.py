@@ -957,6 +957,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
     result_timeout_s = 30.0
     # A query body is a few dozen bytes; anything past this is refused unread.
     max_body_bytes = 1 << 20
+    # Socket read/write timeout (stdlib StreamRequestHandler): a body that
+    # stalls this long answers 408, and an idle keep-alive connection closes.
+    timeout = 10.0
 
     @property
     def reasoning(self) -> ReasoningServer:
@@ -1031,7 +1034,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 413, {"error": f"request body exceeds {self.max_body_bytes} bytes"}
             )
             return
-        body = self.rfile.read(length)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            self._send_json(
+                408, {"error": f"request body not received within {self.timeout:g} s"}
+            )
+            return
         if self.path == "/query":
             url_model = None
         elif (url_model := self._model_path("query")) is None:

@@ -259,7 +259,7 @@ class TestBatchedFusionEquivalence:
         queries = [Query(t.head, t.relation, t.tail) for t in dataset.splits.train[:4]]
         episodes = BatchedRolloutEngine(agent, environment).sample_episodes(
             queries, greedy=True
-        )
+        ).episodes
         searches = BatchBeamSearch(agent, environment, beam_width=4).run(queries)
         for query, episode, search in zip(queries, episodes, searches):
             reference = sample_episode(agent, environment, query, greedy=True)

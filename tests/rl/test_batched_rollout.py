@@ -20,11 +20,13 @@ from repro.core.model import MMKGRAgent
 from repro.features.extraction import FeatureStore
 from repro.fusion.variants import FusionVariant
 from repro.nn import Module, clip_grad_norm
-from repro.rl.batched_rollout import BatchedRolloutEngine
+from repro.nn.tensor import Tensor, stack
+from repro.rl.batched_rollout import BatchedRolloutEngine, Rollout
 from repro.rl.environment import MKGEnvironment, Query
 from repro.rl.imitation import ImitationConfig, ImitationTrainer
+from repro.rl import reinforce
 from repro.rl.reinforce import ReinforceConfig, ReinforceTrainer
-from repro.rl.rewards import ZeroOneReward
+from repro.rl.rewards import RewardConfig, ZeroOneReward, build_reward
 from repro.rl.rollout import sample_episode
 from repro.utils.rng import spawn_rngs
 
@@ -55,7 +57,8 @@ def _queries(dataset, count=20):
     return [Query(t.head, t.relation, t.tail) for t in dataset.splits.train[:count]]
 
 
-def _assert_identical_episodes(batched, scalar):
+def _assert_identical_episodes(rollout, scalar):
+    batched = rollout.episodes
     assert len(batched) == len(scalar)
     for batched_episode, scalar_episode in zip(batched, scalar):
         assert batched_episode.state.path == scalar_episode.state.path
@@ -105,7 +108,7 @@ class TestSeedParity:
         engine = BatchedRolloutEngine(agent, environment)
         first = engine.sample_episodes(queries, rng=123)
         second = engine.sample_episodes(queries, rng=123)
-        _assert_identical_episodes(first, second)
+        _assert_identical_episodes(first, second.episodes)
 
     def test_rng_count_mismatch_rejected(self, setup):
         dataset, features = setup
@@ -119,7 +122,8 @@ class TestSeedParity:
         dataset, features = setup
         agent = MMKGRAgent(features, config=_config(), rng=0)
         environment = MKGEnvironment(dataset.train_graph, max_steps=3, max_actions=16)
-        assert BatchedRolloutEngine(agent, environment).sample_episodes([]) == []
+        rollout = BatchedRolloutEngine(agent, environment).sample_episodes([])
+        assert rollout.episodes == [] and rollout.steps == []
 
 
 class _EarlyStopEnvironment(MKGEnvironment):
@@ -145,21 +149,32 @@ class TestPerQueryTermination:
             for query, episode_rng in zip(queries, spawn_rngs(5, len(queries)))
         ]
         _assert_identical_episodes(batched, scalar)
-        lengths = {len(e.state.path) for e in batched}
+        lengths = {len(e.state.path) for e in batched.episodes}
         assert len(lengths) > 1, "workload should mix early and full-length episodes"
 
 
 class _ReferenceReinforceTrainer(ReinforceTrainer):
-    """Samples every mini-batch with the per-query reference loop."""
+    """Samples every mini-batch with the per-query reference loop.
+
+    The episodes' traced per-step log-probs are stacked depth by depth into
+    the ``(rows, Tensor)`` gathers that ``BatchedRolloutEngine`` returns.
+    """
 
     def _sample_batch(self, batch):
         expanded = [
             query for query in batch for _ in range(self.config.rollouts_per_query)
         ]
-        return [
+        episodes = [
             sample_episode(self.agent, self.environment, query, rng=episode_rng)
             for query, episode_rng in zip(expanded, spawn_rngs(self.rng, len(expanded)))
         ]
+        steps = []
+        for depth in range(max(len(episode.log_probs) for episode in episodes)):
+            rows = [i for i, episode in enumerate(episodes) if len(episode.log_probs) > depth]
+            steps.append(
+                (np.asarray(rows), stack([episodes[i].log_probs[depth] for i in rows]))
+            )
+        return Rollout(episodes, steps)
 
 
 class _ReferenceImitationTrainer(ImitationTrainer):
@@ -208,16 +223,30 @@ def _agent_for(features, agent_class):
     return agent_class(features, config=_config(variant), rng=0)
 
 
-def _assert_reinforce_parity(setup, agent_class):
+def _zero_one_reward(features):
+    return ZeroOneReward()
+
+
+def _three_d_reward(features):
+    """The paper's full 3D reward, diversity memory included."""
+    return build_reward(RewardConfig(), relation_embeddings=features.relation_embeddings)
+
+
+def _assert_reinforce_parity(setup, agent_class, make_reward=_zero_one_reward):
     dataset, features = setup
     runs = []
     for trainer_class in (ReinforceTrainer, _ReferenceReinforceTrainer):
         agent = _agent_for(features, agent_class)
         environment = MKGEnvironment(dataset.train_graph, max_steps=3, max_actions=16)
         config = ReinforceConfig(epochs=2, batch_size=16, learning_rate=1e-3)
-        trainer = trainer_class(agent, environment, ZeroOneReward(), config, rng=0)
+        reward = make_reward(features)
+        trainer = trainer_class(agent, environment, reward, config, rng=0)
         runs.append((trainer.fit(dataset.splits.train[:32]), agent))
     (history_fast, agent_fast), (history_slow, agent_slow) = runs
+    diversity = getattr(reward, "diversity", None)
+    if diversity is not None:
+        relations = range(dataset.train_graph.num_relations)
+        assert sum(diversity.known_paths(r) for r in relations) > 1
     np.testing.assert_allclose(
         history_fast.epoch_rewards, history_slow.epoch_rewards, atol=1e-9
     )
@@ -247,6 +276,66 @@ def _assert_imitation_parity(setup, agent_class):
 class TestTrainerIntegration:
     def test_both_paths_train_identically(self, setup):
         _assert_reinforce_parity(setup, MMKGRAgent)
+
+    def test_both_paths_train_identically_under_3d_reward(self, setup):
+        _assert_reinforce_parity(setup, MMKGRAgent, _three_d_reward)
+
+    def test_one_gather_per_depth(self, setup, monkeypatch):
+        """The loss reads each depth's log-probs with one gather over all rows,
+        not one ``log_probs[row, choice]`` node per episode per depth."""
+        dataset, features = setup
+        gathers = []
+        getitem = Tensor.__getitem__
+
+        def counting_getitem(tensor, key):
+            if isinstance(key, tuple) and not any(isinstance(k, slice) for k in key):
+                gathers.append(key)
+            return getitem(tensor, key)
+
+        monkeypatch.setattr(Tensor, "__getitem__", counting_getitem)
+        agent = MMKGRAgent(features, config=_config(), rng=0)
+        environment = MKGEnvironment(dataset.train_graph, max_steps=3, max_actions=16)
+        queries = _queries(dataset, count=16)
+        trainer = ReinforceTrainer(agent, environment, ZeroOneReward(), rng=0)
+        trainer._train_batch(queries)
+        assert len(gathers) == 3
+        assert all(len(rows) == 16 for rows, _ in gathers)
+
+        gathers.clear()
+        imitation = ImitationTrainer(agent, environment, rng=0)
+        demonstrations = imitation.collect_demonstrations(dataset.splits.train[:16])
+        imitation._train_batch(demonstrations)
+        assert 1 <= len(gathers) <= 3
+
+    def test_gathered_loss_has_the_per_step_loss_gradient(self, setup, monkeypatch):
+        """``concat(gathers) @ -advantage[rows] / B`` against the per-episode,
+        per-step ``Σ log_prob * (-advantage) / B`` built from reference episodes."""
+        dataset, features = setup
+        queries = _queries(dataset, count=16)
+        environment = MKGEnvironment(dataset.train_graph, max_steps=3, max_actions=16)
+        monkeypatch.setattr(reinforce, "clip_grad_norm", lambda parameters, limit: None)
+        agent = MMKGRAgent(features, config=_config(), rng=0)
+        config = ReinforceConfig(batch_size=16)
+        trainer = ReinforceTrainer(agent, environment, _three_d_reward(features), config, rng=3)
+        trainer._baseline = 0.3  # advantages of both signs
+        trainer.optimizer.step = lambda: None
+        trainer._train_batch(queries)
+
+        reference_agent = MMKGRAgent(features, config=_config(), rng=0)
+        reward_fn = _three_d_reward(features)
+        baseline, terms = 0.3, []
+        for query, episode_rng in zip(queries, spawn_rngs(3, len(queries))):
+            episode = sample_episode(reference_agent, environment, query, rng=episode_rng)
+            reward = reward_fn(episode.state, environment)
+            advantage = reward - baseline
+            baseline = config.baseline_decay * baseline + (1 - config.baseline_decay) * reward
+            terms.extend(log_prob * (-advantage) for log_prob in episode.log_probs)
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = loss + term
+        (loss / len(queries)).backward()
+        for param, reference in zip(agent.parameters(), reference_agent.parameters()):
+            np.testing.assert_allclose(param.grad, reference.grad, rtol=0, atol=1e-12)
 
     def test_rollouts_per_query_expansion_matches(self, setup):
         dataset, features = setup

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,62 @@ class TestDiversityReward:
             DiversityReward(rng.normal(size=(4,)))
         with pytest.raises(ValueError):
             DiversityReward(rng.normal(size=(4, 3)), bandwidth=0.0)
+
+
+class _ListDiversityReward:
+    """Eq. (15) over a Python list of remembered vectors, one ``np.sum`` each.
+
+    The memory layout :class:`DiversityReward` had before it kept one array
+    per relation; kept here as the reference the array memory must match.
+    """
+
+    def __init__(self, relation_embeddings, bandwidth):
+        self.path_embedding = DiversityReward(relation_embeddings, bandwidth).path_embedding
+        self.bandwidth = bandwidth
+        self.memory = defaultdict(list)
+
+    def __call__(self, state, environment):
+        known = self.memory.get(state.query.relation, [])
+        embedding = self.path_embedding(state)
+        if not known:
+            reward = 0.0
+        else:
+            kernel_values = [
+                np.exp(-np.sum((embedding - previous) ** 2) / (2.0 * self.bandwidth ** 2))
+                for previous in known
+            ]
+            reward = -float(np.mean(kernel_values)) / len(known)
+        if state.current_entity == state.query.answer:
+            self.memory[state.query.relation].append(embedding)
+        return reward
+
+
+class TestDiversityArrayMemory:
+    def test_bit_identical_to_list_memory(self, environment, tiny_graph):
+        rng = np.random.default_rng(2024)
+        embeddings = rng.normal(size=(tiny_graph.num_relations, 6))
+        reward = DiversityReward(embeddings, bandwidth=1.5)
+        reference = _ListDiversityReward(embeddings, bandwidth=1.5)
+        query_relations = range(4)
+        capacity = DiversityReward._INITIAL_CAPACITY
+        for episode in range(600):
+            if episode == 400:
+                reward.reset_memory()
+                reference.memory.clear()
+            answer = int(rng.integers(tiny_graph.num_entities))
+            query = Query(0, int(rng.choice(query_relations)), answer)
+            state = environment.reset(query)
+            for _ in range(int(rng.integers(0, 4))):
+                relation = int(rng.integers(tiny_graph.num_relations))
+                environment.step(state, (relation, int(rng.integers(tiny_graph.num_entities))))
+            if rng.random() < 0.6:
+                state.current_entity = answer
+            assert reward(state, environment) == reference(state, environment)
+            for relation in query_relations:
+                assert reward.known_paths(relation) == len(reference.memory[relation])
+            if episode == 399:
+                assert min(reward.known_paths(r) for r in query_relations) > 2 * capacity
+        assert max(reward.known_paths(r) for r in query_relations) > capacity
 
 
 class TestCompositeAndZeroOne:

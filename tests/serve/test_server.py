@@ -485,6 +485,57 @@ class TestRequestBodyBound:
         assert "Content-Length" in json.loads(body)["error"]
 
 
+class TestReadTimeout:
+    """A client that stops sending cannot hold a handler thread forever."""
+
+    TIMEOUT_S = 0.5
+
+    @pytest.fixture(autouse=True)
+    def _short_timeout(self, monkeypatch):
+        assert 0 < _RequestHandler.timeout <= 30  # the shipped bound is finite
+        monkeypatch.setattr(_RequestHandler, "timeout", self.TIMEOUT_S)
+
+    def test_stalled_body_is_a_408_and_the_connection_closes(self):
+        with _stub_http(_StubReasoner()) as port:
+            started = time.perf_counter()
+            # 10 of the 100 declared body bytes, then silence.
+            reply = _raw_exchange(
+                port, TestRequestBodyBound._post_with_length("100", b'{"head": 0')
+            )
+            elapsed = time.perf_counter() - started
+        status, headers, body = TestRequestBodyBound._status_and_headers(reply)
+        assert status == 408
+        assert headers["connection"] == "close"
+        assert "not received" in json.loads(body)["error"]
+        assert self.TIMEOUT_S * 0.9 <= elapsed < self.TIMEOUT_S + 2.0
+
+    def test_idle_keep_alive_connection_is_closed(self):
+        with _stub_http(_StubReasoner()) as port:
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                body = json.dumps({"head": 0, "relation": 0, "k": 1}).encode()
+                sock.sendall(
+                    TestRequestBodyBound._post_with_length(str(len(body)), body)
+                )
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+                started = time.perf_counter()
+                assert sock.recv(65536) == b""  # the server hung up
+                elapsed = time.perf_counter() - started
+        assert self.TIMEOUT_S * 0.9 <= elapsed < self.TIMEOUT_S + 2.0
+
+    def test_keep_alive_sequence_within_the_timeout_is_served(self):
+        with _stub_http(_StubReasoner()) as port:
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                statuses = []
+                for head in range(4):
+                    time.sleep(self.TIMEOUT_S / 4)
+                    payload = {"head": head, "relation": 0, "k": 1}
+                    statuses.append(_post_json(connection, payload)[0])
+            finally:
+                connection.close()
+        assert statuses == [200] * 4
+
+
 class TestResultTimeout:
     def test_timed_out_request_is_a_504_and_never_computed(self, monkeypatch):
         monkeypatch.setattr(_RequestHandler, "result_timeout_s", 0.05)
