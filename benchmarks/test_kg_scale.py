@@ -88,7 +88,7 @@ def _replay_queries(mapped, count: int):
     """Answer a batched beam-search workload over the mmap graph; return QPS."""
     reasoner = reasoner_over_graph(mapped, name="kg-scale", rng=7)
     queries = _query_workload(mapped, count)
-    reasoner.query_batch(queries[:8], k=5)  # warm engine + action-space cache
+    reasoner.query_batch(queries[:8], k=5)  # warm the engine up
     start = time.perf_counter()
     batches = reasoner.query_batch(queries, k=5)
     elapsed = time.perf_counter() - start

@@ -64,8 +64,8 @@ def test_capacity_sweep_finds_knee_and_meets_slo(benchmark):
     preset = bench_preset("loadtest-capacity")
     dataset = build_named_dataset(WN9, scale=preset.dataset_scale, seed=7)
     reasoner = Reasoner(preset=preset, rng=7).fit(dataset)
-    # Warm the shared action-space caches: capacity planning measures the
-    # steady state, not cold starts.
+    # Warm the reasoner up: capacity planning measures the steady state,
+    # not cold starts.
     triples = dataset.splits.test[:8]
     reasoner.query_batch([(t.head, t.relation) for t in triples], k=5)
 

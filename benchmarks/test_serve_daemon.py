@@ -75,8 +75,8 @@ def test_micro_batched_serving_beats_per_request_dispatch(benchmark):
     reasoner = Reasoner(preset=preset, rng=7).fit(dataset)
     queries = _workload(dataset, CLIENTS * QUERIES_PER_CLIENT)
 
-    # Warm the engine and the shared action-space caches so the comparison
-    # isolates the batching policy, not cold-cache effects.
+    # Warm the engine up so the comparison isolates the batching policy,
+    # not first-call costs.
     reasoner.query_batch(queries[:8], k=5)
 
     # Best-of-2 per configuration: one scheduling hiccup on a shared CI

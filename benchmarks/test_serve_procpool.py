@@ -59,8 +59,8 @@ def _replay(registry_root, queries, workers: int):
         results[index] = [future.result(timeout=300) for future in futures]
 
     with server:
-        # Warm every worker's engine and action-space caches outside the
-        # measurement so the ratio isolates parallelism, not cold starts.
+        # Warm every worker's engine outside the measurement so the ratio
+        # isolates parallelism, not cold starts.
         warm = [server.submit(head, relation, k=5) for head, relation in queries[:16]]
         for future in warm:
             future.result(timeout=300)

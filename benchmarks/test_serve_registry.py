@@ -99,8 +99,8 @@ def test_multi_model_routing_overhead_within_bound(benchmark, tmp_path):
             config=ServeConfig(max_batch_size=MAX_BATCH_SIZE, max_wait_ms=MAX_WAIT_MS, workers=1),
         ).start()
         keys = [server.add_model(ref) for ref in refs]
-        # Warm the engine and action-space caches so the comparison isolates
-        # the routing layer, not cold caches.
+        # Warm every engine so the comparison isolates the routing layer,
+        # not first-call costs.
         for key in keys:
             for head, relation in queries[:8]:
                 server.query(head, relation, k=5, model=key)

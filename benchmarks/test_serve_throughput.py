@@ -1,8 +1,8 @@
 """Serving throughput: ``query_batch`` vs a sequential ``query`` loop.
 
 The serving layer's claim is that answering a batch of queries with one
-lockstep beam search (batched fusion/policy/LSTM forward passes, shared
-action-space cache) is faster than looping ``query`` over the same traffic.
+lockstep beam search (batched action-space reads and fusion/policy/LSTM
+forward passes) is faster than looping ``query`` over the same traffic.
 This microbenchmark trains one small MMKGR reasoner, replays a skewed
 query workload both ways, verifies the rankings agree, and asserts the
 batched path wins.
@@ -35,8 +35,8 @@ def test_query_batch_beats_sequential_loop(benchmark):
     reasoner = Reasoner(preset=preset, rng=7).fit(dataset)
     queries = _workload(dataset, QUERY_COUNT)
 
-    # Warm the engine and the action-space caches for both measurements so
-    # the comparison isolates batching, not cold-cache effects.
+    # Warm the engine up for both measurements so the comparison isolates
+    # batching, not first-call costs.
     reasoner.query_batch(queries[:8], k=5)
 
     # Best-of-2 per path: a single noisy scheduling hiccup on a shared

@@ -40,7 +40,7 @@ def main() -> None:
 
     # --- query many times: batched vs sequential ------------------------
     queries = [(t.head, t.relation) for t in dataset.splits.test[:48]]
-    reasoner.query_batch(queries[:4])  # warm the action-space caches
+    reasoner.query_batch(queries[:4])  # warm-up: first-call allocations
 
     start = time.perf_counter()
     for query_head, query_relation in queries:
@@ -56,7 +56,6 @@ def main() -> None:
         f"batched: {batched_s * 1000:.0f} ms "
         f"({sequential_s / batched_s:.1f}x faster)"
     )
-    print(f"action-cache stats: {reasoner.cache_stats()}")
 
     # --- persist and serve from a fresh process -------------------------
     with tempfile.TemporaryDirectory() as directory:

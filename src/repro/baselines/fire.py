@@ -25,8 +25,9 @@ from repro.serve.reasoner import Reasoner
 from repro.features.extraction import ModalityConfig
 from repro.fusion.variants import FusionVariant
 from repro.kg.datasets import MKGDataset
-from repro.rl.environment import EpisodeState, MKGEnvironment
+from repro.rl.environment import ActionBlock, EpisodeState, MKGEnvironment, pack_actions
 from repro.rl.rewards import RewardConfig
+from repro.rl.rollout import descending_order
 from repro.utils.rng import SeedLike
 
 
@@ -44,24 +45,53 @@ class PrunedEnvironment(MKGEnvironment):
         self._relation_embeddings = relation_embeddings
         self.prune_to = prune_to
 
+    def _prunes(self) -> bool:
+        return self._entity_embeddings is not None and self._relation_embeddings is not None
+
+    def _closeness(self, tails: np.ndarray, sources: np.ndarray, relations: np.ndarray):
+        """``-||e_t - (e_s + r_q)||`` per action, one row per (tail, query) pair."""
+        targets = self._entity_embeddings[sources] + self._relation_embeddings[relations]
+        return -np.sqrt(((self._entity_embeddings[tails] - targets) ** 2).sum(axis=1))
+
     def available_actions(self, state: EpisodeState) -> List[Tuple[int, int]]:
         actions = super().available_actions(state)
-        if (
-            self._entity_embeddings is None
-            or self._relation_embeddings is None
-            or len(actions) <= self.prune_to
-        ):
+        if not self._prunes() or len(actions) <= self.prune_to:
             return actions
         query = state.query
-        target = (
-            self._entity_embeddings[query.source] + self._relation_embeddings[query.relation]
+        scores = self._closeness(
+            np.array([entity for _, entity in actions]),
+            np.array([query.source]),
+            np.array([query.relation]),
         )
-        scores = [
-            -float(np.linalg.norm(self._entity_embeddings[entity] - target))
-            for _, entity in actions
-        ]
-        keep = np.argsort(scores)[::-1][: self.prune_to]
+        keep = descending_order(scores)[: self.prune_to]
         return [actions[i] for i in sorted(keep)]
+
+    def action_block(
+        self, entities, step, query_relations, query_answers, query_sources=None
+    ) -> ActionBlock:
+        """:meth:`MKGEnvironment.action_block`, pruned row by row like
+        :meth:`available_actions` (so ``query_sources`` is required)."""
+        relation_ids, tail_ids, mask = super().action_block(
+            entities, step, query_relations, query_answers
+        )
+        counts = mask.sum(axis=1)
+        pruned = counts > self.prune_to
+        if not self._prunes() or not pruned.any():
+            return relation_ids, tail_ids, mask
+        inside = mask[pruned]
+        rows = np.nonzero(inside)[0]
+        scores = np.full(inside.shape, -np.inf)
+        scores[inside] = self._closeness(
+            tail_ids[pruned][inside],
+            np.asarray(query_sources)[pruned][rows],
+            np.asarray(query_relations)[pruned][rows],
+        )
+        chosen = np.zeros_like(inside)
+        np.put_along_axis(chosen, descending_order(scores)[:, : self.prune_to], True, axis=1)
+        mask[pruned] = chosen
+        return pack_actions(
+            np.minimum(counts, self.prune_to), relation_ids[mask], tail_ids[mask]
+        )
 
 
 def _fire_preset(preset: ExperimentPreset) -> ExperimentPreset:

@@ -43,15 +43,12 @@ def beam_search_results(
     environment: MKGEnvironment,
     queries: Sequence[Query],
     config: Optional[EvaluationConfig] = None,
-    cache=None,
 ) -> List[BeamSearchResult]:
     """Beam-search every query in lockstep; one result per query, in order.
 
     The shared beam-result provider of every evaluation protocol: queries run
     through :class:`~repro.serve.engine.BatchBeamSearch` in chunks of
-    ``config.batch_size``.  ``cache`` optionally reuses a warm
-    :class:`~repro.serve.cache.ActionSpaceCache` (e.g. a serving
-    reasoner's).  Raises ``TypeError`` for agents that are not an
+    ``config.batch_size``.  Raises ``TypeError`` for agents that are not an
     :class:`~repro.core.model.MMKGRAgent`.
     """
     # Imported lazily: repro.serve's package initialisation imports the
@@ -59,7 +56,7 @@ def beam_search_results(
     from repro.serve.engine import BatchBeamSearch
 
     config = config or EvaluationConfig()
-    engine = BatchBeamSearch(agent, environment, cache=cache, beam_width=config.beam_width)
+    engine = BatchBeamSearch(agent, environment, beam_width=config.beam_width)
     queries = list(queries)
     results: List[BeamSearchResult] = []
     for start in range(0, len(queries), config.batch_size):
@@ -74,7 +71,6 @@ def evaluate_entity_prediction(
     filter_graph: Optional[KnowledgeGraph] = None,
     config: Optional[EvaluationConfig] = None,
     rng: SeedLike = None,
-    cache=None,
 ) -> Dict[str, float]:
     """Beam-search entity ranking metrics (MRR, Hits@N) over ``test_triples``."""
     config = config or EvaluationConfig()
@@ -82,7 +78,7 @@ def evaluate_entity_prediction(
     triples = _maybe_subsample(test_triples, config.max_queries, rng)
 
     queries = [Query(t.head, t.relation, t.tail) for t in triples]
-    searches = beam_search_results(agent, environment, queries, config, cache=cache)
+    searches = beam_search_results(agent, environment, queries, config)
     result = RankingResult()
     for triple, search in zip(triples, searches):
         other_answers = filter_graph.tails_for(triple.head, triple.relation) - {triple.tail}
@@ -97,7 +93,6 @@ def evaluate_relation_prediction(
     candidate_relations: Optional[Sequence[int]] = None,
     config: Optional[EvaluationConfig] = None,
     rng: SeedLike = None,
-    cache=None,
 ) -> Dict[str, float]:
     """MAP of relation link prediction ``(e_s, ?, e_d)``.
 
@@ -124,13 +119,7 @@ def evaluate_relation_prediction(
     # Flatten whole triple-rows of the (triple x candidate relation) grid
     # into each engine call, but only ~batch_size results at a time: scored
     # rows are discarded immediately, so peak memory stays flat however many
-    # test triples the protocol covers.  One shared action-space cache spans
-    # every chunk — the grid revisits the same heads under every candidate
-    # relation, so a per-chunk cache would rebuild the same action matrices.
-    if cache is None:
-        from repro.serve.engine import BatchBeamSearch
-
-        cache = BatchBeamSearch.build_cache(agent, environment)
+    # test triples the protocol covers.
     rows_per_chunk = max(1, config.batch_size // max(1, grid))
     for chunk_start in range(0, len(triples), rows_per_chunk):
         chunk = triples[chunk_start : chunk_start + rows_per_chunk]
@@ -139,7 +128,7 @@ def evaluate_relation_prediction(
             for triple in chunk
             for relation in candidate_relations
         ]
-        searches = beam_search_results(agent, environment, queries, config, cache=cache)
+        searches = beam_search_results(agent, environment, queries, config)
         for index, triple in enumerate(chunk):
             row = searches[index * grid : (index + 1) * grid]
             scores: List[Tuple[int, float]] = [
@@ -170,7 +159,6 @@ def hop_distribution(
     config: Optional[EvaluationConfig] = None,
     max_hops: int = 4,
     rng: SeedLike = None,
-    cache=None,
 ) -> Dict[str, float]:
     """Proportion of successfully answered queries per path length (Figs. 6-7).
 
@@ -193,7 +181,7 @@ def hop_distribution(
     filter_graph = filter_graph or environment.graph
     triples = _maybe_subsample(test_triples, config.max_queries, rng)
     queries = [Query(t.head, t.relation, t.tail) for t in triples]
-    searches = beam_search_results(agent, environment, queries, config, cache=cache)
+    searches = beam_search_results(agent, environment, queries, config)
     counts: Dict[int, int] = defaultdict(int)
     successes = 0
     for triple, search in zip(triples, searches):

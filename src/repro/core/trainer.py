@@ -225,7 +225,6 @@ class MMKGRPipeline:
         self,
         name: str = "MMKGR",
         beam_width: Optional[int] = None,
-        cache_size: int = 4096,
     ):
         """The trained pipeline as a queryable serving facade.
 
@@ -239,9 +238,7 @@ class MMKGRPipeline:
 
         if self.agent is None:
             raise RuntimeError("the pipeline has not been trained yet")
-        return Reasoner.from_pipeline(
-            self, name=name, beam_width=beam_width, cache_size=cache_size
-        )
+        return Reasoner.from_pipeline(self, name=name, beam_width=beam_width)
 
     def publish(
         self,
@@ -249,7 +246,6 @@ class MMKGRPipeline:
         name: str = "MMKGR",
         metrics: Optional[Dict[str, float]] = None,
         beam_width: Optional[int] = None,
-        cache_size: int = 4096,
     ):
         """Publish the trained pipeline as the next version of ``name``.
 
@@ -262,7 +258,7 @@ class MMKGRPipeline:
 
         if not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
-        reasoner = self.reasoner(name=name, beam_width=beam_width, cache_size=cache_size)
+        reasoner = self.reasoner(name=name, beam_width=beam_width)
         return registry.publish(reasoner, name=name, metrics=metrics)
 
     # -------------------------------------------------------------- end-to-end

@@ -113,11 +113,6 @@ class Explainer:
         self.graph = graph or environment.graph
         self.beam_width = beam_width
         self.top_k = top_k
-        # Imported here: repro.serve's package initialisation imports
-        # repro.explain.
-        from repro.serve.engine import BatchBeamSearch
-
-        self._cache = BatchBeamSearch.build_cache(agent, environment)
 
     # ----------------------------------------------------------------- single
     def explain(self, query: QueryLike) -> Explanation:
@@ -132,7 +127,6 @@ class Explainer:
             self.environment,
             queries,
             EvaluationConfig(beam_width=self.beam_width),
-            cache=self._cache,
         )
         return [self._explanation(query, search) for query, search in zip(queries, searches)]
 

@@ -21,6 +21,13 @@ from repro.kg.graph import (
 from repro.rl.environment import Query
 
 
+def display_relation(name: str) -> str:
+    """Relation label with the inverse marker rendered as ``^-1``."""
+    if is_inverse_relation(name):
+        return f"{inverse_relation_name(name)}^-1"
+    return name
+
+
 @dataclass(frozen=True)
 class PathStep:
     """One traversed edge of a reasoning path."""
@@ -43,9 +50,7 @@ class PathStep:
     @property
     def display_relation(self) -> str:
         """Relation label with the inverse marker rendered as ``^-1``."""
-        if self.is_inverse:
-            return f"{inverse_relation_name(self.relation_name)}^-1"
-        return self.relation_name
+        return display_relation(self.relation_name)
 
     def to_dict(self) -> Dict[str, object]:
         return {

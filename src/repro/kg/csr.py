@@ -21,11 +21,12 @@ mmap_mode="r")`` — the same zero-copy convention as the serving weight arena
 (:mod:`repro.serve.arena`): pages fault in on first touch and live in the OS
 page cache, shared across every process mapping the same files.
 
-Action spaces are *lazily materialized*: beam search and the RL environment
-consume ``outgoing_edges(entity)`` as a list of ``(relation, tail)`` tuples,
-which for CSR is built from the row slice on first touch and kept in a
-bounded LRU (serving traffic is Zipf-skewed, so a small cache covers most
-expansions without ever materializing the cold tail of the graph).
+Beam search reads the arrays directly through :meth:`CSRKnowledgeGraph.
+adjacency_arrays` (see :meth:`repro.rl.environment.MKGEnvironment.
+action_block`), so no row is ever turned into Python objects on the serving
+path; ``outgoing_edges(entity)`` builds its ``(relation, tail)`` list from
+the row slice on each call.  :meth:`CSRKnowledgeGraph.load` checks the
+arrays it maps, since that read path indexes them without bounds checks.
 
 >>> from repro.kg.graph import KnowledgeGraph
 >>> dict_graph = KnowledgeGraph()
@@ -55,7 +56,6 @@ from repro.kg.graph import (
     inverse_relation_name,
 )
 from repro.kg.vocab import RangeVocabulary, Vocabulary
-from repro.utils.lru import LRUCache
 
 PathLike = Union[str, Path]
 
@@ -67,11 +67,6 @@ _TAILS_FILE = "adj_tails.npy"
 _RELATIONS_FILE = "adj_relations.npy"
 _TRIPLES_FILE = "triples.npy"
 _ENTITIES_FILE = "entities.json"
-
-# Default bound on materialized action-space rows.  Sized for serving: large
-# enough to hold every hot head under Zipf traffic, small enough that the
-# cache itself stays tens of MB even at high average degree.
-DEFAULT_ROW_CACHE = 16384
 
 __all__ = ["CSRKnowledgeGraph", "load_csr_graph"]
 
@@ -99,8 +94,8 @@ class CSRKnowledgeGraph:
 
     Duck-type compatible with the read interface of
     :class:`~repro.kg.graph.KnowledgeGraph`: everything the RL environment,
-    the beam-search engines, the serving caches, and the evaluators touch
-    (``outgoing_edges``, ``neighbors``, ``degree``, ``contains``,
+    the beam-search engine and the evaluators touch (``adjacency_arrays``,
+    ``outgoing_edges``, ``neighbors``, ``degree``, ``contains``,
     ``tails_for``, vocabularies, sizes) behaves identically.  Mutation
     methods are deliberately absent — build through the dict backend or the
     synthetic generator, then convert.
@@ -116,7 +111,6 @@ class CSRKnowledgeGraph:
         relation_vocab,
         add_inverse: bool = True,
         add_no_op: bool = True,
-        row_cache_size: int = DEFAULT_ROW_CACHE,
     ):
         self._indptr = indptr
         self._adj_tails = adj_tails
@@ -133,7 +127,10 @@ class CSRKnowledgeGraph:
             )
         if len(adj_tails) != len(adj_relations):
             raise ValueError("adj_tails and adj_relations must be row-aligned")
-        self._row_cache: LRUCache[int, List[Tuple[int, int]]] = LRUCache(row_cache_size)
+        # Plain ndarray views: indexing a np.memmap pays for its subclass hooks.
+        self._adjacency = tuple(
+            np.asarray(array) for array in (indptr, adj_relations, adj_tails)
+        )
         self._inverse_ids: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------ construction
@@ -148,7 +145,6 @@ class CSRKnowledgeGraph:
         add_inverse: bool = True,
         add_no_op: bool = True,
         inverse_ids: Optional[np.ndarray] = None,
-        row_cache_size: int = DEFAULT_ROW_CACHE,
     ) -> "CSRKnowledgeGraph":
         """Build from parallel forward-triple id arrays.
 
@@ -207,13 +203,10 @@ class CSRKnowledgeGraph:
             relation_vocab=relation_vocab,
             add_inverse=add_inverse,
             add_no_op=add_no_op,
-            row_cache_size=row_cache_size,
         )
 
     @classmethod
-    def from_graph(
-        cls, graph, row_cache_size: int = DEFAULT_ROW_CACHE
-    ) -> "CSRKnowledgeGraph":
+    def from_graph(cls, graph) -> "CSRKnowledgeGraph":
         """Convert a dict-backed :class:`~repro.kg.graph.KnowledgeGraph`.
 
         Vocabularies are shared (not copied) with the source graph.
@@ -232,7 +225,6 @@ class CSRKnowledgeGraph:
             relation_vocab=graph.relations,
             add_inverse=graph.add_inverse,
             add_no_op=graph.add_no_op,
-            row_cache_size=row_cache_size,
         )
 
     # ----------------------------------------------------------------- sizes
@@ -280,20 +272,14 @@ class CSRKnowledgeGraph:
             raise IndexError(f"entity id {entity} out of range")
         return self._row(entity)
 
-    def outgoing_edges(self, entity: int) -> List[Tuple[int, int]]:
-        """Outgoing ``(relation, neighbour)`` pairs: the RL action space.
+    def adjacency_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, relations, tails)``: the CSR arrays themselves (no copy)."""
+        return self._adjacency
 
-        Materialized lazily from the CSR row and held in a bounded LRU; rows
-        come back sorted by ``(relation, tail)``.  Callers receive a copy, as
-        with the dict backend, so masking/truncation never corrupts the cache.
-        """
+    def outgoing_edges(self, entity: int) -> List[Tuple[int, int]]:
+        """Outgoing ``(relation, neighbour)`` pairs, sorted by ``(relation, tail)``."""
         if not 0 <= entity < self.num_entities:
             return []
-        return list(
-            self._row_cache.get_or_compute(entity, lambda: self._materialize(entity))
-        )
-
-    def _materialize(self, entity: int) -> List[Tuple[int, int]]:
         rels, tails = self._row(entity)
         return list(zip(rels.tolist(), tails.tolist()))
 
@@ -372,7 +358,6 @@ class CSRKnowledgeGraph:
             relation_vocab=self.relations,
             add_inverse=self.add_inverse,
             add_no_op=self.add_no_op,
-            row_cache_size=self._row_cache.maxsize,
         )
 
     def paths_between(
@@ -380,13 +365,6 @@ class CSRKnowledgeGraph:
     ) -> List[List[Tuple[int, int]]]:
         """See :meth:`repro.kg.graph.KnowledgeGraph.paths_between`."""
         return enumerate_paths(self, source, target, max_hops, limit)
-
-    def row_cache_stats(self) -> Dict[str, int]:
-        return {
-            "rows_cached": len(self._row_cache),
-            "hits": self._row_cache.hits,
-            "misses": self._row_cache.misses,
-        }
 
     def memory_nbytes(self) -> int:
         """Bytes held by the adjacency and triple arrays (mapped or resident)."""
@@ -459,13 +437,12 @@ class CSRKnowledgeGraph:
         return directory
 
     @classmethod
-    def load(
-        cls,
-        directory: PathLike,
-        mmap: bool = True,
-        row_cache_size: int = DEFAULT_ROW_CACHE,
-    ) -> "CSRKnowledgeGraph":
-        """Open a saved graph; arrays are memory-mapped read-only by default."""
+    def load(cls, directory: PathLike, mmap: bool = True) -> "CSRKnowledgeGraph":
+        """Open a saved graph; arrays are memory-mapped read-only by default.
+
+        The row offsets and ids are checked in O(E) vectorized passes; a
+        corrupt file raises ``ValueError`` naming it.
+        """
         directory = Path(directory)
         meta_path = directory / CSR_META_FILE
         if not meta_path.exists():
@@ -499,14 +476,31 @@ class CSRKnowledgeGraph:
             relation_vocab=relation_vocab,
             add_inverse=bool(meta.get("add_inverse", True)),
             add_no_op=bool(meta.get("add_no_op", True)),
-            row_cache_size=row_cache_size,
         )
         if graph.num_edges != int(meta["num_adjacency_edges"]):
             raise ValueError(
                 f"{directory}: adjacency arrays hold {graph.num_edges} edges, "
                 f"meta records {meta['num_adjacency_edges']}"
             )
+        graph._validate(directory)
         return graph
+
+    def _validate(self, directory: Path) -> None:
+        """Raise ``ValueError`` unless the adjacency arrays form valid CSR rows."""
+        indptr = self._indptr
+        if indptr[0] != 0 or indptr[-1] != self.num_edges:
+            raise ValueError(
+                f"{directory / _INDPTR_FILE}: offsets must run from 0 to "
+                f"{self.num_edges}, got {indptr[0]} to {indptr[-1]}"
+            )
+        if np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError(f"{directory / _INDPTR_FILE}: offsets decrease")
+        for name, ids, bound in (
+            (_TAILS_FILE, self._adj_tails, self.num_entities),
+            (_RELATIONS_FILE, self._adj_relations, self.num_relations),
+        ):
+            if len(ids) and (ids.min() < 0 or ids.max() >= bound):
+                raise ValueError(f"{directory / name}: ids outside [0, {bound})")
 
 
 def _inverse_id_table(relation_vocab, add_no_op: bool) -> np.ndarray:

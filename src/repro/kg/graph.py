@@ -16,6 +16,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.kg.vocab import Vocabulary
 
 INVERSE_PREFIX = "inv::"
@@ -70,6 +72,10 @@ class KnowledgeGraph:
     (1, 2)
     """
 
+    # CSR snapshot of ``_outgoing`` for :meth:`adjacency_arrays`; a class
+    # default so graphs unpickled from older saves have it too.
+    _adjacency: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
     def __init__(
         self,
         entity_vocab: Optional[Vocabulary] = None,
@@ -116,6 +122,7 @@ class KnowledgeGraph:
             return triple
         self._triple_set.add(key)
         self._triples.append(triple)
+        self._adjacency = None
         self._outgoing[triple.head].append((triple.relation, triple.tail))
         self._tails_by_query[(triple.head, triple.relation)].add(triple.tail)
         if self.add_inverse:
@@ -170,6 +177,25 @@ class KnowledgeGraph:
     def outgoing_edges(self, entity: int) -> List[Tuple[int, int]]:
         """Outgoing ``(relation, neighbour)`` pairs: the RL action space at ``entity``."""
         return list(self._outgoing.get(entity, []))
+
+    def adjacency_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, relations, tails)``: every row of :meth:`outgoing_edges` as CSR.
+
+        Row ``e`` is ``relations[indptr[e]:indptr[e + 1]]`` (and the same slice
+        of ``tails``), in :meth:`outgoing_edges` order.  The snapshot is built
+        on first use and dropped by :meth:`add_triple`.
+        """
+        snapshot = self._adjacency
+        if snapshot is None or len(snapshot[0]) != self.num_entities + 1:
+            rows = [self._outgoing.get(entity, ()) for entity in range(self.num_entities)]
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum([len(row) for row in rows], out=indptr[1:])
+            edges = np.array(
+                [edge for row in rows for edge in row], dtype=np.intp
+            ).reshape(-1, 2)
+            snapshot = (indptr, edges[:, 0].copy(), edges[:, 1].copy())
+            self._adjacency = snapshot
+        return snapshot
 
     def neighbors(self, entity: int) -> Tuple[int, ...]:
         """The neighbour entities ``N_t`` used in the MDP state (Section IV-C).

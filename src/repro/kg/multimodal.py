@@ -301,6 +301,9 @@ class MultiModalKnowledgeGraph:
     def outgoing_edges(self, entity_id: int):
         return self.graph.outgoing_edges(entity_id)
 
+    def adjacency_arrays(self):
+        return self.graph.adjacency_arrays()
+
     def neighbors(self, entity_id: int):
         return self.graph.neighbors(entity_id)
 

@@ -15,9 +15,9 @@ Execution of one spec:
    of the knee.
 
 A fresh server per point keeps the stats windows and batcher queues of one
-operating point from bleeding into the next; the reasoners (and their warm
-action-space caches) are shared across points on purpose — capacity planning
-measures the steady state, not cold starts.
+operating point from bleeding into the next; the (warmed-up) reasoners are
+shared across points on purpose — capacity planning measures the steady
+state, not cold starts.
 """
 
 from __future__ import annotations

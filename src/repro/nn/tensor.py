@@ -55,12 +55,9 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid, clipped and branch-stable (the forward of ``Tensor.sigmoid``)."""
-    clipped = np.clip(x, -500, 500)
-    return np.where(
-        x >= 0,
-        1.0 / (1.0 + np.exp(-clipped)),
-        np.exp(clipped) / (1.0 + np.exp(clipped)),
-    )
+    clipped = np.minimum(np.maximum(x, -500.0), 500.0)  # np.clip's wrapper costs more
+    exp = np.exp(clipped)
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-clipped)), exp / (1.0 + exp))
 
 
 def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -22,6 +22,21 @@ from repro.rl.environment import EpisodeState, MKGEnvironment, Query
 from repro.utils.rng import SeedLike, new_rng
 
 
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """Indices that sort ``values`` descending along the last axis.
+
+    Ties go to the higher index.  The rule is fixed here, once, for every
+    beam search and action pruner: a plain ``np.argsort(x)[::-1]`` leaves
+    the order of tied values to the sort kernel numpy picks for the host
+    CPU, so beams could differ from one machine to the next.
+
+    >>> descending_order(np.array([2.0, 1.0, 1.0, 0.0, 0.0])).tolist()
+    [0, 2, 1, 4, 3]
+    """
+    last = values.shape[-1] - 1
+    return last - np.argsort(-values[..., ::-1], axis=-1, kind="stable")
+
+
 class ReasoningAgent(Protocol):
     """The interface rollouts need from a reasoning model."""
 
@@ -185,7 +200,7 @@ def beam_search(
             actions = environment.available_actions(state)
             probabilities = agent.action_probabilities(state, actions)
             # Expand only the locally most probable actions to bound the fanout.
-            top = np.argsort(probabilities)[::-1][:beam_width]
+            top = descending_order(probabilities)[:beam_width]
             for action_index in top:
                 candidates.append(
                     (

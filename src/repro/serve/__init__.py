@@ -54,7 +54,6 @@ from repro.serve.arena import (
     write_arena,
 )
 from repro.serve.batcher import BatcherClosed, BatchRequest, DynamicBatcher, execute_batch
-from repro.serve.cache import ActionSpaceCache
 from repro.serve.config import BACKENDS, ServeConfig
 from repro.serve.engine import BatchBeamSearch
 from repro.serve.procpool import ProcessWorkerGroup, WorkerCrashError
@@ -78,7 +77,6 @@ from repro.serve.server import (
 )
 
 __all__ = [
-    "ActionSpaceCache",
     "BACKENDS",
     "BatchBeamSearch",
     "BatcherClosed",

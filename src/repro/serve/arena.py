@@ -215,7 +215,6 @@ def load_arena_reasoner(save_dir: PathLike, rng: SeedLike = None):
         pipeline,
         name=manifest.get("name", "MMKGR"),
         beam_width=manifest.get("beam_width"),
-        cache_size=manifest.get("cache_size", 4096),
     )
 
 

@@ -8,7 +8,7 @@ dataclass that all three consume, and adds the knob the sprawl could never
 express: the **execution backend**.
 
 * ``backend="threads"`` (default) — reasoner replicas on worker threads in
-  this process, sharing LRU action-space caches.  Cheapest to boot, but the
+  this process, sharing one trained pipeline.  Cheapest to boot, but the
   GIL caps aggregate throughput at roughly one core no matter how many
   workers are configured.
 * ``backend="processes"`` — OS worker processes that attach to the published

@@ -1,22 +1,32 @@
 """Vectorized lockstep beam search across many queries.
 
 :class:`BatchBeamSearch` is the only beam search evaluation, serving and
-explanation run.  It advances *all* queries of a batch depth-by-depth and
-calls the agent's own modules on ``(B, ...)`` ndarrays, which run their
-single forward as untraced NumPy:
+explanation run.  It advances *all* queries of a batch depth-by-depth over a
+struct-of-arrays frontier — one row per beam entry, holding its query, entity,
+log-probability, LSTM state and path — and calls the agent's own modules on
+``(rows, ...)`` ndarrays, which run their single forward as untraced NumPy.
+Each depth is a fixed sequence of array operations:
 
-* the fuser produces every branch's complementary features in one call,
-  whichever fusion variant the agent uses;
-* the policy head projects them in one matrix product
-  (:meth:`repro.rl.policy.PolicyNetwork.project`), leaving only a
-  per-branch dot with the (cached) action matrix;
-* the path-history ``LSTMCell`` folds all surviving expansions in one call.
+* one :meth:`~repro.rl.environment.MKGEnvironment.action_block` call gives
+  every row's action space as padded ``(relation, tail)`` id arrays;
+* the fuser and the policy head's projection run once over all rows;
+* each real action is scored against its row's projection: the relation
+  half of every row against all relations in one product, the entity half
+  gathered on the flat list of real actions (so memory is O(actions x dim)
+  however wide the padded block is); one masked softmax normalises every
+  row;
+* one per-row top-k and one pooled per-query top-k pick the survivors, and
+  one ``LSTMCell`` call folds their edges into the path history.
+
+Ties are broken as in the reference: within a row by
+:func:`~repro.rl.rollout.descending_order`, across a query's candidates by
+their expansion order (the pooled sort is stable).
 
 Agent classes with a ``log_prob_correction`` (the hierarchical RLH agent)
-get it applied once per depth over the padded ``(branches, actions)``
-probability matrix; plain MMKGR agents pay nothing for it.  The engine never
-mutates agent state, so engines on different serving workers can share one
-agent without locking.
+get it applied once per depth over the padded ``(rows, actions)``
+probability matrix; plain MMKGR agents pay nothing for it.  The engine holds
+no mutable state, so engines on different serving workers can share one
+agent and environment without locking.
 
 :class:`repro.rl.batched_rollout.BatchedRolloutEngine` calls the same
 modules with a Tensor history on the training side, and
@@ -26,38 +36,17 @@ suites compare this engine against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.model import MMKGRAgent
 from repro.nn.functional import softmax as stable_softmax
 from repro.nn.tensor import log_softmax_array
-from repro.rl.environment import EpisodeState, MKGEnvironment, Query
-from repro.rl.policy import padded_relation_ids, stack_action_embeddings
-from repro.rl.rollout import BeamSearchResult
-from repro.serve.cache import ActionSpaceCache
+from repro.rl.environment import MKGEnvironment, Query
+from repro.rl.rollout import BeamSearchResult, descending_order
 
 _LOG_EPS = 1e-12
-
-
-def _require_mmkgr_agent(agent) -> None:
-    if not isinstance(agent, MMKGRAgent):
-        raise TypeError(f"beam search needs an MMKGRAgent, got {type(agent).__name__}")
-
-
-@dataclass
-class _Branch:
-    """One beam entry: graph position plus the branch's LSTM history state."""
-
-    entity: int
-    step: int
-    log_prob: float
-    path: Tuple[Tuple[int, int], ...]
-    hidden: np.ndarray  # (1, history_dim)
-    cell: np.ndarray  # (1, history_dim)
-    dead: bool = False  # no outgoing actions; excluded from expansion
 
 
 class BatchBeamSearch:
@@ -67,231 +56,163 @@ class BatchBeamSearch:
         self,
         agent: MMKGRAgent,
         environment: MKGEnvironment,
-        cache: Optional[ActionSpaceCache] = None,
         beam_width: int = 8,
     ):
         if beam_width < 1:
             raise ValueError("beam_width must be >= 1")
-        _require_mmkgr_agent(agent)
+        if not isinstance(agent, MMKGRAgent):
+            raise TypeError(f"beam search needs an MMKGRAgent, got {type(agent).__name__}")
         self.agent = agent
         self.environment = environment
         self.beam_width = beam_width
-        self.cache = cache or self.build_cache(agent, environment)
         self._lstm = agent.history_encoder.cell
         self._correction = agent.log_prob_correction
 
-    @staticmethod
-    def build_cache(
-        agent: MMKGRAgent, environment: MKGEnvironment, maxsize: int = 4096
-    ) -> ActionSpaceCache:
-        """The action-space cache an engine over ``agent`` would use.
-
-        The single place that knows which embeddings back the cached
-        ``[relation ; entity]`` action matrices; evaluation and the serving
-        reasoner build shared caches through it.
-        """
-        _require_mmkgr_agent(agent)
-        features = agent.features
-        return ActionSpaceCache(
-            environment,
-            features.relation_embeddings,
-            features.entity_embeddings,
-            maxsize=maxsize,
-        )
-
-    # ---------------------------------------------------------------- helpers
-    def _state_for(self, query: Query, branch: _Branch) -> EpisodeState:
-        state = EpisodeState(
-            query=query,
-            current_entity=branch.entity,
-            step=branch.step,
-            path=list(branch.path),
-        )
-        state._no_op_ids = self.environment.no_op_relation_ids
-        return state
-
-    def _initial_branches(self, queries: Sequence[Query]) -> List[List[_Branch]]:
-        """Seed one branch per query; histories start with one batched LSTM step."""
-        features = self.agent.features
-        dim = features.structural_dim
-        batch = len(queries)
-        sources = np.fromiter((q.source for q in queries), dtype=np.intp, count=batch)
-        inputs = np.concatenate(
-            [np.zeros((batch, dim)), features.entity_embeddings[sources]], axis=1
-        )
-        hidden = np.zeros((batch, self._lstm.hidden_size))
-        cell = np.zeros((batch, self._lstm.hidden_size))
-        hidden, cell = self._lstm(inputs, (hidden, cell))
-        return [
-            [
-                _Branch(
-                    entity=query.source,
-                    step=0,
-                    log_prob=0.0,
-                    path=(),
-                    hidden=hidden[i : i + 1],
-                    cell=cell[i : i + 1],
-                )
-            ]
-            for i, query in enumerate(queries)
-        ]
-
-    def _probabilities(
-        self,
-        entries: List[Tuple[int, _Branch, List[Tuple[int, int]], np.ndarray]],
-        queries: Sequence[Query],
-    ) -> List[np.ndarray]:
-        """Action probabilities for every (query, branch) entry."""
+    def _probabilities(self, sources, currents, relations, hidden, block) -> np.ndarray:
+        """``(rows, n)`` action probabilities; padding gets probability 0."""
         agent = self.agent
-        batch = len(entries)
-        sources = np.fromiter(
-            (queries[qi].source for qi, *_ in entries), dtype=np.intp, count=batch
-        )
-        currents = np.fromiter(
-            (branch.entity for _, branch, *_ in entries), dtype=np.intp, count=batch
-        )
-        relations = np.fromiter(
-            (queries[qi].relation for qi, *_ in entries), dtype=np.intp, count=batch
-        )
-        history = np.concatenate([branch.hidden for _, branch, *_ in entries], axis=0)
-        fused = agent.fuser(agent.fusion_inputs(sources, currents, relations, history))
+        features = agent.features
+        relation_ids, tail_ids, mask = block
+        fused = agent.fuser(agent.fusion_inputs(sources, currents, relations, hidden))
         projected = agent.policy.project(fused)
-        if self._correction is None:
-            return [
-                stable_softmax(matrix @ projected[i])
-                for i, (_, _, _, matrix) in enumerate(entries)
-            ]
-        return self._corrected_probabilities(entries, projected)
-
-    def _corrected_probabilities(self, entries, projected) -> List[np.ndarray]:
-        """Probabilities under the agent's log-prob correction, one padded batch."""
-        action_lists = [actions for _, _, actions, _ in entries]
-        counts = np.fromiter(map(len, action_lists), dtype=np.intp, count=len(entries))
-        mask = np.arange(counts.max()) < counts[:, None]
+        # An action row is [relation ; entity]: score the relation half
+        # against every relation at once, the entity half per real action.
+        split = features.relation_embeddings.shape[1]
+        relation_scores = projected[:, :split] @ features.relation_embeddings.T
+        rows = np.nonzero(mask)[0]
         scores = np.full(mask.shape, -np.inf)
-        scores[mask] = np.concatenate(
-            [matrix @ projected[i] for i, (_, _, _, matrix) in enumerate(entries)]
+        scores[mask] = relation_scores[rows, relation_ids[mask]] + np.einsum(
+            "ij,ij->i", features.entity_embeddings[tail_ids[mask]], projected[rows, split:]
         )
+        if self._correction is None:
+            return stable_softmax(scores)
         log_probs = log_softmax_array(scores)
-        log_probs = log_probs + self._correction(
-            np.exp(log_probs), padded_relation_ids(action_lists, mask), mask
-        )
-        probabilities = np.exp(log_probs)
-        return [probabilities[i, :count] for i, count in enumerate(counts)]
+        log_probs = log_probs + self._correction(np.exp(log_probs), relation_ids, mask)
+        return np.exp(log_probs)
 
-    # -------------------------------------------------------------------- run
     def run(self, queries: Sequence[Query]) -> List[BeamSearchResult]:
         """Beam-search every query in lockstep; one result per query."""
         queries = list(queries)
         if not queries:
             return []
-        beams = self._initial_branches(queries)
-        max_steps = self.environment.max_steps
+        environment = self.environment
+        features = self.agent.features
+        width = self.beam_width
+        batch = len(queries)
+        sources = np.fromiter((q.source for q in queries), dtype=np.intp, count=batch)
+        relations = np.fromiter((q.relation for q in queries), dtype=np.intp, count=batch)
+        answers = np.fromiter((q.answer for q in queries), dtype=np.intp, count=batch)
 
-        for _ in range(max_steps):
-            entries: List[Tuple[int, _Branch, List[Tuple[int, int]], np.ndarray]] = []
-            for qi, branches in enumerate(beams):
-                for branch in branches:
-                    if branch.step >= max_steps or branch.dead:
-                        continue
-                    state = self._state_for(queries[qi], branch)
-                    actions = self.cache.actions(state)
-                    if not actions:
-                        branch.dead = True
-                        continue
-                    matrix = self.cache.action_matrix(state, actions)
-                    entries.append((qi, branch, actions, matrix))
-            if not entries:
-                break
+        # The frontier: one row per beam entry, grouped by query and sorted
+        # by descending log-probability within each query.  Paths are
+        # (relation, tail) id columns; a branch that found no action stays
+        # on the beam as finished, padding its path with relation -1.
+        owner = np.arange(batch)
+        entity = sources
+        log_prob = np.zeros(batch)
+        hidden = np.zeros((batch, self._lstm.hidden_size))
+        hidden, cell = self._lstm(
+            np.concatenate(
+                [np.zeros((batch, features.structural_dim)), features.entity_embeddings[sources]],
+                axis=1,
+            ),
+            (hidden, hidden),
+        )
+        path_relations = np.empty((batch, 0), dtype=np.intp)
+        path_tails = path_relations
+        finished = np.zeros(batch, dtype=bool)
 
-            probabilities = self._probabilities(entries, queries)
-
-            # Per-query candidate pools, mirroring the sequential beam_search:
-            # expand the locally best actions, then keep the globally best
-            # `beam_width` expansions next to already-finished branches.
-            candidates: Dict[int, List[Tuple[_Branch, Tuple[int, int], float]]] = {
-                qi: [] for qi in range(len(queries))
-            }
-            for (qi, branch, actions, _), probs in zip(entries, probabilities):
-                top = np.argsort(probs)[::-1][: self.beam_width]
-                for index in top:
-                    candidates[qi].append(
-                        (
-                            branch,
-                            actions[index],
-                            branch.log_prob + float(np.log(probs[index] + _LOG_EPS)),
-                        )
-                    )
-
-            expansions: List[Tuple[int, _Branch, Tuple[int, int], float]] = []
-            survivors: List[List[_Branch]] = []
-            for qi, branches in enumerate(beams):
-                finished = [
-                    b for b in branches if b.step >= max_steps or b.dead
-                ]
-                pool = sorted(candidates[qi], key=lambda item: item[2], reverse=True)
-                kept = pool[: self.beam_width]
-                for parent, action, log_prob in kept:
-                    expansions.append((qi, parent, action, log_prob))
-                survivors.append(finished)
-
-            if expansions:
-                features = self.agent.features
-                inputs = stack_action_embeddings(
-                    [action for _, _, action, _ in expansions],
-                    features.relation_embeddings,
-                    features.entity_embeddings,
-                )
-                hidden = np.concatenate(
-                    [parent.hidden for _, parent, _, _ in expansions], axis=0
-                )
-                cell = np.concatenate(
-                    [parent.cell for _, parent, _, _ in expansions], axis=0
-                )
-                hidden, cell = self._lstm(inputs, (hidden, cell))
-                for i, (qi, parent, action, log_prob) in enumerate(expansions):
-                    survivors[qi].append(
-                        _Branch(
-                            entity=action[1],
-                            step=parent.step + 1,
-                            log_prob=log_prob,
-                            path=parent.path + (action,),
-                            hidden=hidden[i : i + 1],
-                            cell=cell[i : i + 1],
-                        )
-                    )
-
-            beams = [
-                sorted(branches, key=lambda b: b.log_prob, reverse=True)[
-                    : self.beam_width
-                ]
-                for branches in survivors
-            ]
-
-        no_op_ids = self.environment.no_op_relation_ids
-        results = []
-        for qi, branches in enumerate(beams):
-            entity_log_probs: Dict[int, float] = {}
-            entity_hops: Dict[int, int] = {}
-            paths: Dict[int, List[Tuple[int, int]]] = {}
-            for branch in branches:
-                entity = branch.entity
-                if (
-                    entity not in entity_log_probs
-                    or branch.log_prob > entity_log_probs[entity]
-                ):
-                    entity_log_probs[entity] = branch.log_prob
-                    entity_hops[entity] = sum(
-                        1 for relation, _ in branch.path if relation not in no_op_ids
-                    )
-                    paths[entity] = list(branch.path)
-            results.append(
-                BeamSearchResult(
-                    query=queries[qi],
-                    entity_log_probs=entity_log_probs,
-                    entity_hops=entity_hops,
-                    paths=paths,
-                    num_entities=self.environment.graph.num_entities,
-                )
+        for step in range(environment.max_steps):
+            live = np.flatnonzero(~finished)
+            queried = owner[live]
+            block = environment.action_block(
+                entity[live], step, relations[queried], answers[queried], sources[queried]
             )
+            counts = block[2].sum(axis=1)
+            if not counts.all():
+                dead = counts == 0
+                finished[live[dead]] = True
+                live, queried, counts = live[~dead], queried[~dead], counts[~dead]
+                block = tuple(array[~dead] for array in block)
+                if not live.size:
+                    break
+            relation_ids, tail_ids, mask = block
+            probabilities = self._probabilities(
+                sources[queried], entity[live], relations[queried], hidden[live], block
+            )
+
+            # The locally best actions of each row, as flat candidates in
+            # (row, rank) order: the order the reference appends them in.
+            top = descending_order(np.where(mask, probabilities, -1.0))[:, :width]
+            real = top < counts[:, None]  # mask rows are left-aligned
+            local = np.nonzero(real)[0]
+            column = top[real]
+            parent = live[local]
+            candidate_lp = log_prob[parent] + np.log(probabilities[local, column] + _LOG_EPS)
+            candidate_relation = relation_ids[local, column]
+            candidate_tail = tail_ids[local, column]
+            if finished.any():
+                # Finished branches compete for the beam ahead of expansions.
+                done = np.flatnonzero(finished)
+                parent = np.concatenate([done, parent])
+                candidate_lp = np.concatenate([log_prob[done], candidate_lp])
+                candidate_relation = np.concatenate(
+                    [np.full(len(done), -1, dtype=np.intp), candidate_relation]
+                )
+                candidate_tail = np.concatenate([entity[done], candidate_tail])
+
+            # Keep each query's best `width` candidates (stable on ties).
+            if batch == 1:
+                keep = np.argsort(-candidate_lp, kind="stable")[:width]
+            else:
+                candidate_owner = owner[parent]
+                keep = np.lexsort((-candidate_lp, candidate_owner))
+                grouped = candidate_owner[keep]
+                rank = np.arange(len(keep)) - np.searchsorted(grouped, grouped)
+                keep = keep[rank < width]
+
+            parent = parent[keep]
+            step_relations = candidate_relation[keep]
+            entity = candidate_tail[keep]
+            owner = owner[parent]
+            log_prob = candidate_lp[keep]
+            finished = step_relations < 0
+            hidden, cell = self._lstm(
+                np.concatenate(
+                    [
+                        features.relation_embeddings[step_relations],
+                        features.entity_embeddings[entity],
+                    ],
+                    axis=1,
+                ),
+                (hidden[parent], cell[parent]),
+            )
+            path_relations = np.concatenate(
+                [path_relations[parent], step_relations[:, None]], axis=1
+            )
+            path_tails = np.concatenate([path_tails[parent], entity[:, None]], axis=1)
+
+        return self._results(queries, owner, entity, log_prob, path_relations, path_tails)
+
+    def _results(self, queries, owner, entity, log_prob, path_relations, path_tails):
+        """One :class:`BeamSearchResult` per query: each entity's best branch."""
+        skip = self.environment.no_op_relation_ids | {-1}
+        num_entities = self.environment.graph.num_entities
+        results = [
+            BeamSearchResult(query, {}, {}, {}, num_entities=num_entities) for query in queries
+        ]
+        for query, reached, score, relations, tails in zip(
+            owner.tolist(),
+            entity.tolist(),
+            log_prob.tolist(),
+            path_relations.tolist(),
+            path_tails.tolist(),
+        ):
+            result = results[query]
+            if reached in result.entity_log_probs:
+                continue  # rows are in descending log-prob order per query
+            path = [step for step in zip(relations, tails) if step[0] != -1]
+            result.entity_log_probs[reached] = score
+            result.entity_hops[reached] = sum(1 for r in relations if r not in skip)
+            result.paths[reached] = path
         return results

@@ -5,8 +5,8 @@ Two families implement :class:`~repro.serve.protocol.ReasonerProtocol`:
 * :class:`Reasoner` wraps a (trained) :class:`~repro.core.trainer.
   MMKGRPipeline` — MMKGR itself, its ablation variants, and the RL baselines
   that reuse the pipeline (MINERVA, FIRE, RLH).  Queries run through the
-  batched beam-search engine with a per-reasoner action-space cache;
-  persistence rides on the existing checkpoint layer.
+  batched beam-search engine; persistence rides on the existing checkpoint
+  layer.
 * :class:`EmbeddingReasoner` wraps any model exposing
   ``score_tails(head, relation)`` over a known graph — the single-hop
   embedding baselines (MTRL, TransAE, GAATs) and NeuralLP's rule reasoner —
@@ -33,12 +33,11 @@ from repro.core.evaluator import (
     evaluate_relation_prediction,
 )
 from repro.core.trainer import MMKGRPipeline
-from repro.explain.paths import paths_from_beam
+from repro.explain.paths import display_relation
 from repro.features.extraction import ModalityConfig
 from repro.kg.datasets import MKGDataset
-from repro.kg.graph import KnowledgeGraph, Triple
+from repro.kg.graph import NO_OP_RELATION, KnowledgeGraph, Triple
 from repro.rl.environment import Query
-from repro.serve.cache import ActionSpaceCache
 from repro.serve.engine import BatchBeamSearch
 from repro.serve.protocol import (
     EntityLike,
@@ -132,7 +131,6 @@ class Reasoner:
         reward_scheme: str = "3d",
         shaping_scorer: str = "transe",
         beam_width: Optional[int] = None,
-        cache_size: int = 4096,
         name: str = "MMKGR",
         rng: SeedLike = None,
     ):
@@ -142,11 +140,9 @@ class Reasoner:
         self.reward_scheme = reward_scheme
         self.shaping_scorer = shaping_scorer
         self.beam_width = beam_width
-        self.cache_size = cache_size
         self.rng = rng
         self.pipeline: Optional[MMKGRPipeline] = None
         self._engine: Optional[BatchBeamSearch] = None
-        self._cache: Optional[ActionSpaceCache] = None
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -155,7 +151,6 @@ class Reasoner:
         pipeline: MMKGRPipeline,
         name: str = "MMKGR",
         beam_width: Optional[int] = None,
-        cache_size: int = 4096,
     ) -> "Reasoner":
         """Wrap an already-built (usually trained) pipeline."""
         if pipeline.agent is None:
@@ -166,7 +161,6 @@ class Reasoner:
             reward_scheme=pipeline.reward_scheme,
             shaping_scorer=pipeline.shaping_scorer,
             beam_width=beam_width,
-            cache_size=cache_size,
             name=name,
         )
         reasoner.pipeline = pipeline
@@ -192,7 +186,6 @@ class Reasoner:
                     )
                 self.pipeline = fitted.pipeline
                 self._engine = None
-                self._cache = None
                 return self
         self.pipeline = MMKGRPipeline(
             dataset,
@@ -204,7 +197,6 @@ class Reasoner:
         )
         self.pipeline.train()
         self._engine = None
-        self._cache = None
         return self
 
     @property
@@ -223,43 +215,28 @@ class Reasoner:
 
     @property
     def engine(self) -> BatchBeamSearch:
-        """The (lazily built) batched beam-search engine with its caches."""
+        """The (lazily built) batched beam-search engine."""
         if self._engine is None:
             pipeline = self._require_fitted()
             width = self.beam_width or pipeline.preset.evaluation.beam_width
-            self._cache = BatchBeamSearch.build_cache(
-                pipeline.agent, pipeline.environment, maxsize=self.cache_size
-            )
             self._engine = BatchBeamSearch(
-                pipeline.agent,
-                pipeline.environment,
-                cache=self._cache,
-                beam_width=width,
+                pipeline.agent, pipeline.environment, beam_width=width
             )
         return self._engine
 
     def replicate(self) -> "Reasoner":
-        """A cheap serving replica: shared pipeline and caches, private engine.
+        """A serving replica for another worker thread: same pipeline, own engine.
 
-        The serving daemon gives each worker thread its own replica so the
-        beam-search engines never contend, while the trained pipeline and the
-        (thread-safe) LRU action-space caches stay shared — one worker's
-        cache warm-up benefits every other.
+        Engines never mutate the agent or the environment, so replicas share
+        the trained pipeline without locking.
         """
-        pipeline = self._require_fitted()
-        engine = self.engine  # force-build the shared cache before copying it
         replica = Reasoner.from_pipeline(
-            pipeline,
-            name=self.name,
-            beam_width=self.beam_width,
-            cache_size=self.cache_size,
+            self._require_fitted(), name=self.name, beam_width=self.beam_width
         )
-        replica._cache = self._cache
         replica._engine = BatchBeamSearch(
-            pipeline.agent,
-            pipeline.environment,
-            cache=self._cache,
-            beam_width=engine.beam_width,
+            replica.pipeline.agent,
+            replica.pipeline.environment,
+            beam_width=self.engine.beam_width,
         )
         return replica
 
@@ -283,33 +260,34 @@ class Reasoner:
         return [self._predictions(graph, result, k) for result in results]
 
     @staticmethod
-    def _predictions(
-        graph: KnowledgeGraph, result, k: int
-    ) -> List[Prediction]:
+    def _predictions(graph: KnowledgeGraph, result, k: int) -> List[Prediction]:
+        """The top ``k`` entities of a beam result, each with its best path.
+
+        Ranked by descending score, ties in beam order; NO_OP steps are left
+        out of the path.
+        """
+        entity_name = graph.entities.symbol
+        relation_name = graph.relations.symbol
+        ranked = sorted(result.entity_log_probs.items(), key=lambda kv: kv[1], reverse=True)
         predictions = []
-        for path in paths_from_beam(
-            graph, result.query, result.entity_log_probs, result.paths, top_k=k
-        ):
-            real_steps = path.real_steps()
+        for entity, score in ranked[:k]:
+            path = []
             names: List[str] = []
-            for step in real_steps:
-                names.extend([step.display_relation, step.entity_name])
+            for relation, tail in result.paths[entity]:
+                name = relation_name(relation)
+                if name != NO_OP_RELATION:
+                    path.append((relation, tail))
+                    names.extend((display_relation(name), entity_name(tail)))
             predictions.append(
                 Prediction(
-                    entity=path.reached_entity_id,
-                    entity_name=path.reached_entity_name,
-                    score=path.score,
-                    path=tuple(
-                        (step.relation_id, step.entity_id) for step in real_steps
-                    ),
+                    entity=entity,
+                    entity_name=entity_name(entity),
+                    score=float(score),
+                    path=tuple(path),
                     path_names=tuple(names),
                 )
             )
         return predictions
-
-    def cache_stats(self) -> dict:
-        """Hit/miss counters of the action-space cache (empty before first query)."""
-        return self._cache.stats() if self._cache is not None else {}
 
     # ------------------------------------------------------------- evaluation
     def entity_metrics(
@@ -322,7 +300,7 @@ class Reasoner:
         """Entity link-prediction metrics via the shared evaluation protocol.
 
         Evaluation runs through the same lockstep batched beam search as
-        serving and reuses this reasoner's warm action-space cache.
+        serving.
         """
         pipeline = self._require_fitted()
         return evaluate_entity_prediction(
@@ -332,7 +310,6 @@ class Reasoner:
             filter_graph=filter_graph or pipeline.dataset.graph,
             config=config or pipeline.preset.evaluation,
             rng=pipeline.rng if rng is None else rng,
-            cache=self.engine.cache,
         )
 
     def relation_metrics(
@@ -348,7 +325,6 @@ class Reasoner:
             test_triples,
             config=config or pipeline.preset.evaluation,
             rng=rng,
-            cache=self.engine.cache,
         )
 
     # ------------------------------------------------------------ persistence
@@ -366,7 +342,6 @@ class Reasoner:
             "reasoner_type": "agent",
             "name": self.name,
             "beam_width": self.beam_width,
-            "cache_size": self.cache_size,
             "agent_class": type(pipeline.agent).__name__,
             "environment_class": type(environment).__name__,
             "prune_to": getattr(environment, "prune_to", None),
@@ -395,7 +370,6 @@ class Reasoner:
             pipeline,
             name=manifest.get("name", "MMKGR"),
             beam_width=manifest.get("beam_width"),
-            cache_size=manifest.get("cache_size", 4096),
         )
         return reasoner
 
@@ -436,7 +410,6 @@ def reasoner_over_graph(
     preset=None,
     name: str = "graph-demo",
     beam_width: Optional[int] = None,
-    cache_size: int = 4096,
     rng: SeedLike = None,
 ) -> Reasoner:
     """An untrained, seeded :class:`Reasoner` serving beam search over a bare graph.
@@ -444,8 +417,8 @@ def reasoner_over_graph(
     The million-entity capacity path: no TransE pre-training and no REINFORCE
     — the agent keeps its (seed-deterministic) initialization weights, so
     predictions are reproducible but not meaningful.  What this exercises is
-    everything *around* the model at full fidelity: CSR adjacency expansion,
-    the action-space LRU caches, and the lockstep beam-search engine — which
+    everything *around* the model at full fidelity: CSR adjacency expansion
+    and the lockstep beam-search engine — which
     is exactly what capacity benchmarks and `mmkgr query --graph` need.
 
     ``graph`` is any graph backend (typically a memory-mapped
@@ -493,9 +466,7 @@ def reasoner_over_graph(
         features=features,
         preset=preset,
     )
-    return Reasoner.from_pipeline(
-        pipeline, name=name, beam_width=beam_width, cache_size=cache_size
-    )
+    return Reasoner.from_pipeline(pipeline, name=name, beam_width=beam_width)
 
 
 class EmbeddingReasoner:

@@ -3,8 +3,8 @@
 :class:`ReasoningServer` routes requests to a :class:`ModelPool` of hosted
 models.  Each hosted model owns its own worker group — a
 :class:`~repro.serve.batcher.DynamicBatcher` plus worker threads holding
-reasoner replicas (same trained pipeline, same shared LRU action-space
-caches, private beam-search engine) — while all groups share one stats
+reasoner replicas (same trained pipeline, private beam-search engine) —
+while all groups share one stats
 registry, so per-model counters survive hot swaps.
 
 One daemon can therefore serve every published model of a
@@ -297,8 +297,8 @@ class WorkerGroup:
 class _ModelEntry(WorkerGroup):
     """The thread execution backend: reasoner replicas on worker threads.
 
-    Replicas share the trained pipeline and its LRU action-space caches;
-    cheap to boot, but the GIL serialises their numpy compute, so aggregate
+    Replicas share the trained pipeline (engines never mutate it); cheap to
+    boot, but the GIL serialises their numpy compute, so aggregate
     throughput stays roughly one core's worth regardless of ``workers``.
     """
 
@@ -338,14 +338,6 @@ class _ModelEntry(WorkerGroup):
         for thread in self._threads:
             thread.join()
         self._threads = []
-
-    # ----------------------------------------------------------------- reporting
-    def stats_dict(self) -> dict:
-        payload = super().stats_dict()
-        cache_stats = getattr(self.reasoner, "cache_stats", None)
-        if callable(cache_stats):
-            payload["cache"] = cache_stats()
-        return payload
 
     # ------------------------------------------------------------------- workers
     def _worker_loop(self, replica) -> None:

@@ -150,13 +150,6 @@ class TestConstruction:
         assert csr.outgoing_edges(0) == []
         assert csr.triples() == []
 
-    def test_row_cache_counts_hits(self, csr_tiny):
-        csr_tiny._row_cache.clear()
-        csr_tiny.outgoing_edges(0)
-        csr_tiny.outgoing_edges(0)
-        stats = csr_tiny.row_cache_stats()
-        assert stats["hits"] >= 1 and stats["misses"] >= 1
-
     def test_cached_rows_are_copied(self, csr_tiny):
         edges = csr_tiny.outgoing_edges(0)
         edges.append((0, 0))
@@ -199,6 +192,40 @@ class TestPersistence:
     def test_load_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             CSRKnowledgeGraph.load(tmp_path / "nothing")
+
+
+class TestLoadValidation:
+    """A corrupt array file fails at load, naming the file, not at query time."""
+
+    def _corrupt(self, csr, directory, name, change):
+        csr.save(directory)
+        array = np.load(directory / name)
+        change(array)
+        np.save(directory / name, array)
+
+    @pytest.mark.parametrize(
+        "name, change, message",
+        [
+            ("indptr.npy", lambda a: a.__setitem__(0, 1), "offsets must run from 0"),
+            ("indptr.npy", lambda a: a.__setitem__(-1, a[-1] - 1), "offsets must run from 0"),
+            ("indptr.npy", lambda a: a.__setitem__(3, a[4] + 1), "offsets decrease"),
+            ("adj_tails.npy", lambda a: a.__setitem__(5, 10_000), "ids outside"),
+            ("adj_tails.npy", lambda a: a.__setitem__(0, -1), "ids outside"),
+            ("adj_relations.npy", lambda a: a.__setitem__(2, 999), "ids outside"),
+            ("adj_relations.npy", lambda a: a.__setitem__(-1, -3), "ids outside"),
+        ],
+    )
+    def test_corrupt_file_raises_naming_it(self, csr_tiny, tmp_path, name, change, message):
+        self._corrupt(csr_tiny, tmp_path / "g", name, change)
+        for mmap in (True, False):
+            with pytest.raises(ValueError, match=message) as raised:
+                CSRKnowledgeGraph.load(tmp_path / "g", mmap=mmap)
+            assert name in str(raised.value)
+
+    def test_valid_files_load(self, csr_tiny, tmp_path):
+        csr_tiny.save(tmp_path / "g")
+        loaded = CSRKnowledgeGraph.load(tmp_path / "g")
+        assert loaded.num_edges == csr_tiny.num_edges
 
 
 class TestServingParity:

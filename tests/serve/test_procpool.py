@@ -118,9 +118,8 @@ class TestBackendParity:
         proc_stats = process_server.stats_dict()
         assert thread_stats["backend"] == "threads"
         assert proc_stats["backend"] == "processes"
-        # Same surface except each backend's own block: the threads side
-        # reports its shared LRU cache, the process side its worker pool.
-        assert set(thread_stats) ^ set(proc_stats) == {"cache", "workers"}
+        # Same surface except the process side's worker-pool block.
+        assert set(thread_stats) ^ set(proc_stats) == {"workers"}
         workers = proc_stats["workers"]
         assert workers["configured"] == 2
         assert workers["alive"] == 2

@@ -88,12 +88,6 @@ class TestQueryBatch:
     def test_empty_batch(self, fitted_reasoner):
         assert fitted_reasoner.query_batch([]) == []
 
-    def test_cache_is_populated_by_queries(self, fitted_reasoner, test_queries):
-        fitted_reasoner.query_batch(test_queries)
-        stats = fitted_reasoner.cache_stats()
-        assert stats["actions_hits"] > 0
-        assert stats["matrix_hits"] > 0
-
 
 class TestPipelineReasonerStage:
     def test_trained_pipeline_exposes_reasoner(self, fitted_reasoner):

@@ -303,8 +303,9 @@ class TestSaveManifestProvenance:
     def test_pr1_manifest_still_loads_with_identical_rankings(
         self, fitted_reasoner, test_queries, tmp_path
     ):
-        # A PR-1 era save carries none of the provenance keys; loading it
-        # must keep working (and ranking identically) forever.
+        # A PR-1 era save carries none of the provenance keys, and a
+        # "cache_size" key that is no longer written; loading it must keep
+        # working (and ranking identically) forever.
         directory = fitted_reasoner.save(tmp_path / "old-format")
         manifest = json.loads((directory / REASONER_FILE).read_text())
         pr1_keys = (
@@ -312,14 +313,13 @@ class TestSaveManifestProvenance:
             "reasoner_type",
             "name",
             "beam_width",
-            "cache_size",
             "agent_class",
             "environment_class",
             "prune_to",
         )
-        (directory / REASONER_FILE).write_text(
-            json.dumps({key: manifest[key] for key in pr1_keys}, indent=2)
-        )
+        pr1_manifest = {key: manifest[key] for key in pr1_keys}
+        pr1_manifest["cache_size"] = 4096
+        (directory / REASONER_FILE).write_text(json.dumps(pr1_manifest, indent=2))
         restored = load_reasoner(directory)
         assert list(map(_ranking, restored.query_batch(test_queries, k=5))) == list(
             map(_ranking, fitted_reasoner.query_batch(test_queries, k=5))

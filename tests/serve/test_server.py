@@ -95,17 +95,21 @@ class TestSubmit:
         assert len(five) <= 5
         assert _ranking(three) == _ranking(five)[: len(three)]
 
-    def test_worker_pool_replicas_share_caches(self, fitted_reasoner, test_queries):
+    def test_worker_pool_replicas_share_pipeline(self, fitted_reasoner, test_queries):
         with ReasoningServer(
             fitted_reasoner,
             config=ServeConfig(max_batch_size=4, max_wait_ms=10, workers=3),
         ) as server:
             futures = [server.submit(h, r, k=3) for h, r in test_queries * 4]
             results = [f.result(timeout=30) for f in futures]
-        assert all(results)
-        stats = server.stats_dict()
-        # Replicas share one action-space cache, so repeated traffic hits it.
-        assert stats["cache"]["actions_hits"] > 0
+            replicas = server.pool.entry(server.default_model)._replicas
+        # Replicas share one trained pipeline (the engines never mutate it)
+        # and answer exactly as the reasoner does on its own.
+        assert len(replicas) == 3
+        assert all(replica.pipeline is fitted_reasoner.pipeline for replica in replicas)
+        expected = fitted_reasoner.query_batch(test_queries * 4, k=3)
+        assert [_ranking(r) for r in results] == [_ranking(r) for r in expected]
+        assert "cache" not in server.stats_dict()
 
     def test_submit_before_start_raises(self, fitted_reasoner):
         server = ReasoningServer(fitted_reasoner)
