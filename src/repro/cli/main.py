@@ -812,7 +812,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-wait-ms", type=float, default=5.0,
-        help="flush a partial batch once its oldest request is this old (default 5)",
+        help="flush a partial batch once its oldest request is this old; only a "
+        "backlog queued behind a running batch waits, a request that reaches an "
+        "idle worker is dispatched at once (default 5)",
     )
     serve.add_argument(
         "--backend", choices=BACKENDS, default="threads",

@@ -23,8 +23,10 @@ On top of the reasoners sits the model registry and the serving daemon:
   directories, mutable ``prod``/``canary``/``latest`` aliases with atomic
   ``promote``, ``resolve("name@alias")`` look-ups);
 * :class:`DynamicBatcher` — coalesces concurrent single queries into
-  micro-batches under a ``max_batch_size`` / ``max_wait_ms`` flush policy,
-  with per-request futures and error isolation;
+  micro-batches with per-request futures and error isolation; it is
+  work-conserving: a request that reaches an idle worker is dispatched at
+  once, and only a backlog queued behind a running batch is held, up to
+  ``max_wait_ms`` for the oldest, to fill ``max_batch_size``;
 * :class:`ReasoningServer` — a multi-tenant router: a :class:`ModelPool` of
   per-model worker groups (reasoner replicas + batcher each, one shared
   stats registry), a versioned HTTP surface (``POST /v1/models/<name>/query``,

@@ -3,10 +3,15 @@
 Serving traffic arrives as concurrent *single* queries, but the batched beam
 search (:class:`~repro.serve.engine.BatchBeamSearch`) only pays off when many
 queries advance in lockstep.  The :class:`DynamicBatcher` bridges the two: it
-queues requests as they arrive and releases them to workers in micro-batches,
-flushing when either ``max_batch_size`` requests have accumulated or the
-oldest request has waited ``max_wait_ms`` — the classic latency/throughput
-knob pair of dynamic batching.
+queues requests as they arrive and releases them to workers in micro-batches.
+The flush rule is work-conserving: a request that reaches an idle worker (one
+already waiting on an empty queue) is dispatched at once, together with
+whatever else is queued at that instant.  Only requests that piled up behind a
+running batch are coalesced, until ``max_batch_size`` have accumulated or the
+oldest has waited ``max_wait_ms``.  So ``max_wait_ms`` bounds the extra wait a
+backlog may take to fill a batch; it never delays a request an idle worker
+could start on (the idea behind Clipper's adaptive batching and Triton's
+dynamic batcher).
 
 Each request carries its own :class:`~concurrent.futures.Future`, and
 :func:`execute_batch` guarantees error isolation: when the batched call
@@ -53,11 +58,15 @@ class DynamicBatcher:
     """A thread-safe request queue that releases work in micro-batches.
 
     Producers call :meth:`submit` and wait on the returned future; consumers
-    (worker threads) call :meth:`next_batch`, which blocks until a batch is
-    ready under the flush policy:
+    (worker threads) call :meth:`next_batch` when they are free, which blocks
+    until a batch is ready under the flush policy:
 
-    * flush **full** — ``max_batch_size`` requests are waiting, or
-    * flush **stale** — the oldest waiting request is ``max_wait_ms`` old.
+    * flush **idle** — the queue was empty when the worker started waiting:
+      the first arrival is dispatched at once with whatever else is queued;
+    * otherwise requests were already queued (they piled up behind a running
+      batch), and the batch is held open until it is **full**
+      (``max_batch_size`` requests) or **stale** (the oldest request is
+      ``max_wait_ms`` old), or the batcher closes.
 
     ``max_batch_size=1`` degenerates to per-request dispatch (no coalescing,
     no added latency), which is the baseline the serving benchmark compares
@@ -96,6 +105,9 @@ class DynamicBatcher:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._condition:
             while True:
+                # Work-conserving: a worker that finds the queue empty starts
+                # on the first arrival at once.
+                idle = not self._queue
                 while not self._queue:
                     if self._closed:
                         return None
@@ -103,11 +115,15 @@ class DynamicBatcher:
                     if wait is not None and wait <= 0:
                         return None
                     self._condition.wait(wait)
-                # Coalesce: hold the batch open until it fills or the oldest
-                # request has waited its max_wait_ms budget.
+                # Coalesce a backlog found already queued: hold the batch open
+                # until it fills or the oldest request has waited max_wait_ms.
                 assembly_started = time.monotonic()
                 flush_at = self._queue[0].enqueued_at + self.max_wait_ms / 1000.0
-                while len(self._queue) < self.max_batch_size and not self._closed:
+                while (
+                    not idle
+                    and len(self._queue) < self.max_batch_size
+                    and not self._closed
+                ):
                     remaining = flush_at - time.monotonic()
                     if remaining <= 0:
                         break
@@ -149,17 +165,18 @@ def execute_batch(
     requests: Sequence[BatchRequest],
     batch_fn: Callable[[List[Any]], Sequence[Any]],
     single_fn: Callable[[Any], Any],
-) -> None:
+) -> List[BatchRequest]:
     """Resolve every request's future via ``batch_fn``, isolating failures.
 
     The happy path answers the whole micro-batch with one ``batch_fn`` call.
     If that call raises — typically because one malformed query poisons the
     batch — every request is retried individually through ``single_fn`` so
-    only the offending request(s) receive the exception.
+    only the offending request(s) receive the exception.  Requests cancelled
+    before compute are skipped; the ones answered are returned.
     """
     live = [r for r in requests if r.future.set_running_or_notify_cancel()]
     if not live:
-        return
+        return live
     try:
         results = batch_fn([r.payload for r in live])
         if len(results) != len(live):
@@ -172,6 +189,7 @@ def execute_batch(
                 request.future.set_result(single_fn(request.payload))
             except Exception as error:
                 request.future.set_exception(error)
-        return
+        return live
     for request, result in zip(live, results):
         request.future.set_result(result)
+    return live

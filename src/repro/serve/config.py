@@ -50,6 +50,12 @@ class ServeConfig:
     ``heartbeat_interval_s`` / ``request_timeout_s`` / ``start_method``
     block only applies to ``backend="processes"``.
 
+    ``max_batch_size`` and ``max_wait_ms`` shape the work-conserving
+    :class:`~repro.serve.batcher.DynamicBatcher`: a request that reaches an
+    idle worker is dispatched at once, and ``max_wait_ms`` only bounds how
+    long a backlog queued behind a running batch is held open to fill up to
+    ``max_batch_size``.
+
     The dataclass is frozen; derive deployment variants with
     :meth:`with_overrides`, which re-validates and rejects typo'd fields
     instead of silently ignoring them:

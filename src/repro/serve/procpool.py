@@ -271,7 +271,7 @@ class ProcessWorkerGroup(WorkerGroup):
                         request.future.set_exception(WorkerCrashError(str(crash)))
                 else:
                     self._deliver(live, outcomes)
-            self._record_batch_stages(batch, time.monotonic())
+            self._record_batch_stages(live, time.monotonic())
 
     def _run_batch(
         self, slot: _WorkerSlot, live: List[BatchRequest]

@@ -276,9 +276,13 @@ class WorkerGroup:
             payload["version"] = self.version
         return payload
 
-    def _record_batch_stages(self, batch: List[BatchRequest], completed: float) -> None:
-        """Attribute each answered request's latency to the serving stages."""
-        for request in batch:
+    def _record_batch_stages(self, answered: List[BatchRequest], completed: float) -> None:
+        """Attribute each answered request's latency to the serving stages.
+
+        ``answered`` holds only the requests that reached compute; one
+        cancelled while queued (a 504 timeout) adds no stage samples.
+        """
+        for request in answered:
             # A request that arrived while the batch was already coalescing
             # never waited in the queue; its wait is all batch-assembly time.
             dequeued = request.dequeued_at if request.dequeued_at is not None else completed
@@ -346,23 +350,26 @@ class _ModelEntry(WorkerGroup):
             if batch is None:
                 return
             self.stats.record_batch(len(batch))
-            self._process(replica, batch)
-            self._record_batch_stages(batch, time.monotonic())
+            answered = self._process(replica, batch)
+            self._record_batch_stages(answered, time.monotonic())
 
-    def _process(self, replica, batch: List[BatchRequest]) -> None:
+    def _process(self, replica, batch: List[BatchRequest]) -> List[BatchRequest]:
+        """Answer ``batch`` on ``replica``; returns the requests not cancelled."""
         # query_batch answers one k for the whole batch; group mixed-k
         # traffic so every request still rides a vectorized call.
         by_k: Dict[int, List[BatchRequest]] = defaultdict(list)
         for request in batch:
             by_k[request.payload.k].append(request)
+        answered: List[BatchRequest] = []
         for k, group in by_k.items():
-            execute_batch(
+            answered += execute_batch(
                 group,
                 lambda payloads, k=k: replica.query_batch(
                     [(p.head, p.relation) for p in payloads], k=k
                 ),
                 lambda payload, k=k: replica.query(payload.head, payload.relation, k=k),
             )
+        return answered
 
 
 class ModelPool:

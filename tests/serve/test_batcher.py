@@ -7,6 +7,7 @@ anything.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -86,6 +87,119 @@ class TestFlushPolicy:
         winners = [batch for batch in results if batch]
         assert len(winners) == 1
         assert [r.payload for r in winners[0]] == ["one"]
+
+
+class TestWorkConservingFlush:
+    """An idle worker dispatches at once; only a queued backlog coalesces."""
+
+    def test_idle_worker_dispatches_a_lone_request_at_once(self):
+        batcher = DynamicBatcher(max_batch_size=16, max_wait_ms=10_000)
+        collected = []
+
+        def consume():
+            collected.append(batcher.next_batch())
+            collected.append(time.monotonic())
+
+        worker = threading.Thread(target=consume)
+        worker.start()
+        time.sleep(0.05)  # let the worker start waiting on the empty queue
+        submitted = time.monotonic()
+        batcher.submit("lone")
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        batch, returned = collected
+        assert [r.payload for r in batch] == ["lone"]
+        assert returned - submitted < 1.0, "an idle worker must not hold a lone request"
+        # Dispatched at once: no batch-assembly wait is recorded.
+        assert batch[0].dequeued_at - batch[0].assembly_started_at < 0.5
+
+    def test_queued_backlog_still_coalesces_under_max_wait(self):
+        # A request found already queued piled up behind a running batch: the
+        # worker holds it open for company up to the oldest one's deadline.
+        batcher = DynamicBatcher(max_batch_size=16, max_wait_ms=100)
+        batcher.submit("backlog")
+        start = time.monotonic()
+        batch = batcher.next_batch()
+        assert [r.payload for r in batch] == ["backlog"]
+        assert time.monotonic() - start >= 0.08
+
+    def test_idle_dispatch_takes_everything_queued_at_wakeup(self):
+        batcher = DynamicBatcher(max_batch_size=8, max_wait_ms=10_000)
+        collected = []
+        worker = threading.Thread(target=lambda: collected.append(batcher.next_batch()))
+        worker.start()
+        time.sleep(0.05)  # let the worker start waiting on the empty queue
+        # Hold the (reentrant) lock so all four arrivals queue before it wakes.
+        with batcher._condition:
+            for i in range(4):
+                batcher.submit(i)
+        worker.join(timeout=1.0)
+        assert not worker.is_alive(), "the woken idle worker must not coalesce"
+        assert [r.payload for r in collected[0]] == [0, 1, 2, 3]
+
+    def test_two_idle_workers_racing_over_one_request(self):
+        # The winner returns the request at once; the loser goes back to
+        # waiting (and sees the close), never returning an empty batch.
+        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=10_000)
+        results = []
+
+        def worker():
+            results.append(batcher.next_batch())
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.05)
+        batcher.submit("one")
+        deadline = time.monotonic() + 1.0
+        while not results and time.monotonic() < deadline:
+            time.sleep(0.005)
+        dispatched_at_once = bool(results)
+        batcher.close()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert dispatched_at_once, "an idle worker must dispatch the request at once"
+        assert [] not in results
+        assert None in results
+        winners = [batch for batch in results if batch]
+        assert len(winners) == 1
+        assert [r.payload for r in winners[0]] == ["one"]
+
+    def test_stress_every_request_dispatched_once_in_bounded_batches(self):
+        # More workers than cores, short thread switch interval: idle and
+        # coalescing workers race over one queue fed by two producers.
+        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=1)
+        seen, sizes, lock = [], [], threading.Lock()
+
+        def worker():
+            while (batch := batcher.next_batch()) is not None:
+                with lock:
+                    sizes.append(len(batch))
+                    seen.extend(r.payload for r in batch)
+
+        def producer(offset):
+            for i in range(300):
+                batcher.submit(offset + i)
+                if i % 7 == 0:
+                    time.sleep(0.0005)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(4)]
+            producers = [threading.Thread(target=producer, args=(k * 1000,)) for k in range(2)]
+            for thread in workers + producers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=30)
+            batcher.close()
+            for thread in workers:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(not thread.is_alive() for thread in workers + producers)
+        assert sorted(seen) == [k * 1000 + i for k in range(2) for i in range(300)]
+        assert min(sizes) >= 1 and max(sizes) <= 4
 
 
 class TestLifecycle:

@@ -185,6 +185,49 @@ class TestHotSwap:
         assert _rankings(got) == _rankings(reference)
 
 
+class TestWorkConservingDispatch:
+    @pytest.fixture(scope="class")
+    def slow_flush_server(self, registry_root):
+        config = ServeConfig(workers=1, **{**_PROC_CONFIG, "max_wait_ms": 200.0})
+        server = ReasoningServer(
+            registry=ModelRegistry(registry_root), default_model="mmkgr@prod", config=config
+        )
+        server.start()
+        yield server
+        server.close()
+
+    def test_sequential_client_never_waits_out_max_wait(
+        self, slow_flush_server, test_queries
+    ):
+        head, relation = test_queries[0]
+        slow_flush_server.query(head, relation, k=3)  # warm up
+        start = time.monotonic()
+        for _ in range(20):
+            slow_flush_server.query(head, relation, k=3)
+        elapsed = time.monotonic() - start
+        assert elapsed < 2.0, f"20 sequential queries took {elapsed:.2f}s"
+
+    def test_cancelled_requests_add_no_stage_samples(
+        self, slow_flush_server, test_queries
+    ):
+        entry = slow_flush_server.pool.entry("mmkgr")
+        before = len(entry.stats.stage_samples()["compute"])
+        head, relation = test_queries[0]
+        futures = [slow_flush_server.submit(head, relation, k=3) for _ in range(10)]
+        cancelled = sum(future.cancel() for future in futures[5:])
+        assert cancelled, "the single worker cannot have started every request yet"
+        for future in futures:
+            if not future.cancelled():
+                future.result(timeout=30)
+        # Stages are recorded after the futures resolve; wait for the drain.
+        deadline = time.monotonic() + 10.0
+        while entry.batcher.depth and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)
+        grown = len(entry.stats.stage_samples()["compute"]) - before
+        assert grown == len(futures) - cancelled
+
+
 class TestInMemorySpill:
     def test_in_memory_reasoner_spills_and_attaches(
         self, fitted_reasoner, test_queries, thread_baseline

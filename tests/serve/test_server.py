@@ -111,6 +111,21 @@ class TestSubmit:
         assert [_ranking(r) for r in results] == [_ranking(r) for r in expected]
         assert "cache" not in server.stats_dict()
 
+    def test_sequential_client_never_waits_out_max_wait(self, fitted_reasoner, test_queries):
+        # Each query reaches an idle worker, which dispatches it at once: 20
+        # round trips take far less than 20 coalescing windows of 200 ms.
+        head, relation = test_queries[0]
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=8, max_wait_ms=200),
+        ) as server:
+            server.query(head, relation, k=3)  # warm up
+            start = time.monotonic()
+            for _ in range(20):
+                server.query(head, relation, k=3)
+            elapsed = time.monotonic() - start
+        assert elapsed < 2.0, f"20 sequential queries took {elapsed:.2f}s"
+
     def test_submit_before_start_raises(self, fitted_reasoner):
         server = ReasoningServer(fitted_reasoner)
         with pytest.raises(RuntimeError, match="not running"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -112,6 +113,27 @@ class _SleepyReasoner:
         return [[] for _ in queries]
 
 
+class _GatedReasoner:
+    """Holds its first batch until ``gate`` is set, keeping the worker busy."""
+
+    name = "gated"
+
+    def __init__(self, gate: threading.Event):
+        self.gate = gate
+        self.entered = threading.Event()
+        self.answered = []
+
+    def query(self, head, relation, k: int = 10):
+        return self.query_batch([(head, relation)], k=k)[0]
+
+    def query_batch(self, queries, k: int = 10):
+        if not self.entered.is_set():
+            self.entered.set()
+            self.gate.wait(timeout=10.0)
+        self.answered.extend(queries)
+        return [[] for _ in queries]
+
+
 class TestEndToEndStageTiming:
     def test_served_requests_populate_every_stage(self):
         server = ReasoningServer(
@@ -133,3 +155,27 @@ class TestEndToEndStageTiming:
         # The stage split roughly reassembles the end-to-end latency.
         total_p50 = sum(stats.stage_percentile_ms(stage, 0.5) for stage in STAGES)
         assert total_p50 <= stats.latency_percentile_ms(0.5) * 3 + 5.0
+
+    def test_cancelled_requests_add_no_stage_samples(self):
+        # Only answered requests count: one cancelled while queued (the
+        # HTTP 504 path) must not add queue, batch or compute samples.
+        gate = threading.Event()
+        reasoner = _GatedReasoner(gate)
+        server = ReasoningServer(
+            reasoner, config=ServeConfig(max_batch_size=4, max_wait_ms=0, workers=1)
+        ).start()
+        try:
+            running = server.submit(0, 0, k=1)
+            assert reasoner.entered.wait(timeout=10.0)
+            cancelled = server.submit(1, 0, k=1)
+            answered = server.submit(2, 0, k=1)
+            assert cancelled.cancel()
+            gate.set()
+            running.result(timeout=10.0)
+            answered.result(timeout=10.0)
+        finally:
+            server.close()
+        samples = server.pool.stats_for("gated").stage_samples()
+        assert all(len(samples[stage]) == 2 for stage in STAGES)
+        assert reasoner.answered == [(0, 0), (2, 0)]
+
